@@ -1,10 +1,11 @@
 package hiddenhhh
 
 import (
-	"hiddenhhh/internal/addr"
-
+	"maps"
 	"testing"
 	"time"
+
+	"hiddenhhh/internal/addr"
 )
 
 func genTestTrace(t testing.TB, seconds int, seed int64) []Packet {
@@ -286,5 +287,84 @@ func TestWindowedEmptyWindowsFastPath(t *testing.T) {
 	}
 	if sets[gap+1].Len() == 0 || last.Len() == 0 {
 		t.Error("post-gap data window reported no HHHs")
+	}
+}
+
+// TestConstructorDefaults pins every public constructor's documented
+// defaults: a config with the optional fields left zero must report the
+// same snapshots — items, counts and conditioned volumes — as one with
+// the defaults written out. The defaults differ per constructor
+// (notably the sliding detector's 256 counters against the pipeline's
+// own 512), so a constructor that forwarded a zero value to a layer
+// with a different default would fail here.
+func TestConstructorDefaults(t *testing.T) {
+	// Many concurrent flows, so per-frame key counts exceed the sliding
+	// detector's 256 counters and a different capacity changes counts.
+	cfg := DefaultTraceConfig()
+	cfg.Duration = 12 * time.Second
+	cfg.Seed = 6
+	cfg.MeanPacketRate = 4000
+	cfg.Flows = 5000
+	pkts, err := GenerateTrace(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byte4 := NewHierarchy(Byte)
+	cases := []struct {
+		name             string
+		zero, documented func() (Detector, error)
+	}{
+		{"windowed",
+			func() (Detector, error) {
+				return NewWindowedDetector(WindowedConfig{Window: 2 * time.Second, Phi: 0.02, Engine: EnginePerLevel})
+			},
+			func() (Detector, error) {
+				return NewWindowedDetector(WindowedConfig{Window: 2 * time.Second, Phi: 0.02, Engine: EnginePerLevel,
+					Counters: 512, Hierarchy: byte4})
+			}},
+		{"sliding",
+			func() (Detector, error) {
+				return NewSlidingDetector(SlidingConfig{Window: 2 * time.Second, Phi: 0.02})
+			},
+			func() (Detector, error) {
+				return NewSlidingDetector(SlidingConfig{Window: 2 * time.Second, Phi: 0.02,
+					Engine: EngineWCSS, Counters: 256, Frames: 8, Hierarchy: byte4})
+			}},
+		{"continuous",
+			func() (Detector, error) {
+				return NewContinuousDetector(ContinuousConfig{Horizon: 2 * time.Second, Phi: 0.02})
+			},
+			func() (Detector, error) {
+				return NewContinuousDetector(ContinuousConfig{Horizon: 2 * time.Second, Phi: 0.02,
+					Cells: 1 << 16, Hashes: 4, ExitRatio: 0.9, Hierarchy: byte4})
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			zero, err := tc.zero()
+			if err != nil {
+				t.Fatal(err)
+			}
+			documented, err := tc.documented()
+			if err != nil {
+				t.Fatal(err)
+			}
+			reported := 0
+			for lo := 0; lo < len(pkts); lo += 4096 {
+				hi := min(lo+4096, len(pkts))
+				zero.ObserveBatch(pkts[lo:hi])
+				documented.ObserveBatch(pkts[lo:hi])
+				now := pkts[hi-1].Ts
+				got, want := zero.Snapshot(now), documented.Snapshot(now)
+				if !maps.Equal(got, want) {
+					t.Fatalf("at %v: zero-valued config reported\n %v\nwant (documented defaults)\n %v",
+						time.Duration(now), got.Items(), want.Items())
+				}
+				reported += got.Len()
+			}
+			if reported == 0 {
+				t.Fatal("no snapshot reported anything: the comparison proves nothing")
+			}
+		})
 	}
 }

@@ -1,16 +1,16 @@
 package hiddenhhh
 
 import (
+	"slices"
 	"testing"
 	"time"
-
-	"hiddenhhh/internal/window"
 )
 
 // TestObserveBatchMatchesObserve drives every detector kind over the same
 // trace twice — once per packet, once through the batch ingest path with
-// awkward batch sizes — and requires identical snapshots. This pins the
-// batch spine to the per-packet semantics: window splitting, frame
+// awkward batch sizes — and requires identical snapshots, and for the
+// continuous detector the identical OnEnter/OnExit sequence. This pins
+// the batch spine to the per-packet semantics: window splitting, frame
 // rotation, RHHH's sampling sequence and the continuous admission checks
 // all have to line up exactly.
 func TestObserveBatchMatchesObserve(t *testing.T) {
@@ -23,25 +23,35 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 	}
 	span := int64(cfg.Duration)
 
-	builders := map[string]func() (Detector, error){
-		"windowed-exact": func() (Detector, error) {
+	// transition is one continuous admission event, as OnEnter/OnExit
+	// report it.
+	type transition struct {
+		enter bool
+		p     Prefix
+		at    int64
+	}
+	builders := map[string]func(log *[]transition) (Detector, error){
+		"windowed-exact": func(*[]transition) (Detector, error) {
 			return NewWindowedDetector(WindowedConfig{Window: 5 * time.Second, Phi: 0.05})
 		},
-		"windowed-perlevel": func() (Detector, error) {
+		"windowed-perlevel": func(*[]transition) (Detector, error) {
 			return NewWindowedDetector(WindowedConfig{
 				Window: 5 * time.Second, Phi: 0.05, Engine: EnginePerLevel, Counters: 64})
 		},
-		"windowed-rhhh": func() (Detector, error) {
+		"windowed-rhhh": func(*[]transition) (Detector, error) {
 			return NewWindowedDetector(WindowedConfig{
 				Window: 5 * time.Second, Phi: 0.05, Engine: EngineRHHH, Counters: 64, Seed: 42})
 		},
-		"sliding": func() (Detector, error) {
+		"sliding": func(*[]transition) (Detector, error) {
 			return NewSlidingDetector(SlidingConfig{
 				Window: 5 * time.Second, Phi: 0.05, Counters: 64})
 		},
-		"continuous": func() (Detector, error) {
+		"continuous": func(log *[]transition) (Detector, error) {
 			return NewContinuousDetector(ContinuousConfig{
-				Horizon: 5 * time.Second, Phi: 0.05, Cells: 1 << 12})
+				Horizon: 5 * time.Second, Phi: 0.05, Cells: 1 << 12,
+				OnEnter: func(p Prefix, at int64) { *log = append(*log, transition{true, p, at}) },
+				OnExit:  func(p Prefix, at int64) { *log = append(*log, transition{false, p, at}) },
+			})
 		},
 	}
 
@@ -50,7 +60,8 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 	batchSizes := []int{1, 7, 97, 1024, len(pkts)}
 	for name, build := range builders {
 		t.Run(name, func(t *testing.T) {
-			ref, err := build()
+			var wantLog []transition
+			ref, err := build(&wantLog)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,8 +69,12 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 				ref.Observe(&pkts[i])
 			}
 			want := ref.Snapshot(span)
+			if name == "continuous" && len(wantLog) == 0 {
+				t.Fatal("no OnEnter/OnExit transitions: the sequence check proves nothing")
+			}
 			for _, bs := range batchSizes {
-				det, err := build()
+				var log []transition
+				det, err := build(&log)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -75,88 +90,11 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 					t.Fatalf("batchSize %d: snapshot diverged from per-packet path:\nbatch: %v\nref:   %v",
 						bs, got, want)
 				}
-			}
-		})
-	}
-}
-
-// TestTumbleBatchesMatchesTumblePackets pins the batch window driver to
-// the per-packet one: same spans, same packet and byte accounting.
-func TestTumbleBatchesMatchesTumblePackets(t *testing.T) {
-	cfg := DefaultTraceConfig()
-	cfg.Duration = 12 * time.Second
-	cfg.MeanPacketRate = 2000
-	pkts, err := GenerateTrace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wcfg := window.Config{Width: 3 * time.Second, End: int64(cfg.Duration)}
-
-	type span struct {
-		idx     int
-		packets int
-		bytes   int64
-	}
-	var ref []span
-	var bytesSeen int64
-	err = window.TumblePackets(SliceSource(pkts), wcfg,
-		func(p *Packet) { bytesSeen += int64(p.Size) },
-		func(s window.Span) error {
-			ref = append(ref, span{s.Index, s.Packets, s.Bytes})
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, bs := range []int{1, 13, 512} {
-		var got []span
-		err = window.TumbleBatches(SliceSource(pkts), wcfg, bs,
-			func(batch []Packet) int64 {
-				var w int64
-				for i := range batch {
-					w += int64(batch[i].Size)
+				if !slices.Equal(log, wantLog) {
+					t.Fatalf("batchSize %d: %d transitions diverged from the per-packet path's %d",
+						bs, len(log), len(wantLog))
 				}
-				return w
-			},
-			func(s window.Span) error {
-				got = append(got, span{s.Index, s.Packets, s.Bytes})
-				return nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(ref) {
-			t.Fatalf("batchSize %d: %d windows, want %d", bs, len(got), len(ref))
-		}
-		for i := range got {
-			if got[i] != ref[i] {
-				t.Fatalf("batchSize %d: window %d = %+v, want %+v", bs, i, got[i], ref[i])
 			}
-		}
-	}
-
-	// An explicit WeightFunc overrides onBatch's accounting: with
-	// ByPackets, Span.Bytes must equal Span.Packets even though onBatch
-	// reports byte sums.
-	weighted := wcfg
-	weighted.Weight = window.ByPackets
-	err = window.TumbleBatches(SliceSource(pkts), weighted, 64,
-		func(batch []Packet) int64 {
-			var w int64
-			for i := range batch {
-				w += int64(batch[i].Size)
-			}
-			return w
-		},
-		func(s window.Span) error {
-			if s.Bytes != int64(s.Packets) {
-				t.Fatalf("window %d: custom Weight ignored: Bytes=%d Packets=%d",
-					s.Index, s.Bytes, s.Packets)
-			}
-			return nil
 		})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

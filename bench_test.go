@@ -483,33 +483,6 @@ func BenchmarkDetectorWindowedRHHHObserve(b *testing.B) {
 	benchDetectorObserve(b, det)
 }
 
-// BenchmarkPerLevelQuery measures the conditioned bottom-up query of a
-// warmed per-level engine — the per-window-close cost, where the reusable
-// discount tables replaced per-query map churn.
-func BenchmarkPerLevelQuery(b *testing.B) {
-	pkts, _ := getBenchTrace(b)
-	det, err := NewWindowedDetector(WindowedConfig{
-		Window: time.Hour, Phi: 0.05, Engine: EnginePerLevel,
-		OnWindow: func(start, end int64, set Set) {},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	limit := len(pkts)
-	if limit > 200000 {
-		limit = 200000
-	}
-	det.ObserveBatch(pkts[:limit])
-	inner := det.(interface{ queryNow() Set })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if set := inner.queryNow(); set.Len() == 0 {
-			b.Fatal("no HHHs")
-		}
-	}
-}
-
 // BenchmarkTraceGeneration measures synthetic trace throughput
 // (packets/op via b.N packets).
 func BenchmarkTraceGeneration(b *testing.B) {

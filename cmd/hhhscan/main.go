@@ -17,14 +17,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
 	"hiddenhhh/internal/addr"
-	"hiddenhhh/internal/continuous"
 	"hiddenhhh/internal/hhh"
 	"hiddenhhh/internal/pcap"
-	"hiddenhhh/internal/tdbf"
+	"hiddenhhh/internal/pipeline"
 	"hiddenhhh/internal/trace"
 	"hiddenhhh/internal/window"
 )
@@ -82,36 +82,46 @@ func main() {
 				return nil
 			})
 	case "perlevel", "rhhh":
-		var update func(addr.Addr, int64)
-		var queryFrac func(float64) hhh.Set
-		var reset func()
-		if *engine == "perlevel" {
-			eng := hhh.NewPerLevel(h, *counters)
-			update, queryFrac, reset = eng.Update, eng.QueryFraction, eng.Reset
-		} else {
-			eng := hhh.NewRHHH(h, *counters, *seed)
-			update, queryFrac, reset = eng.Update, eng.QueryFraction, eng.Reset
+		// Whole windows of the trace span, on the grid from 0 — the same
+		// windows the exact engine's window.Tumble evaluates.
+		w := int64(*win)
+		end := int64(window.Config{Width: *win, End: span}.Count()) * w
+		if end == 0 {
+			fatal(fmt.Errorf("trace span %v is shorter than one window", time.Duration(span)))
 		}
-		err = window.TumblePackets(trace.NewSliceSource(pkts),
-			window.Config{Width: *win, End: span},
-			func(p *trace.Packet) { update(p.Src, int64(p.Size)) },
-			func(s window.Span) error {
-				// The engine's own total counts only in-family bytes, the
-				// right threshold denominator on dual-stack traces.
-				set := queryFrac(*phi)
-				printSet(s.Start, s.End, set)
-				reset()
-				return nil
-			})
+		kind := pipeline.KindPerLevel
+		if *engine == "rhhh" {
+			kind = pipeline.KindRHHH
+		}
+		var det *pipeline.Inline
+		det, err = pipeline.NewInline(pipeline.Config{
+			Window: *win, Phi: *phi, Engine: kind, Counters: *counters,
+			Hierarchy: h, Seed: *seed, OnWindow: printSet,
+		})
+		if err != nil {
+			fatal(err)
+		}
+		// The executor's window grid starts at the first packet's window;
+		// the windows before it are empty.
+		lo := sort.Search(len(pkts), func(i int) bool { return pkts[i].Ts >= 0 })
+		hi := sort.Search(len(pkts), func(i int) bool { return pkts[i].Ts >= end })
+		first := end
+		if lo < hi {
+			first = pkts[lo].Ts / w * w
+		}
+		for s := int64(0); s < first; s += w {
+			printSet(s, s+w, hhh.NewSet())
+		}
+		det.ObserveBatch(pkts[lo:hi])
+		det.Snapshot(end)
 	case "continuous":
-		var det *continuous.Detector
-		det, err = continuous.NewDetector(continuous.Config{
-			Hierarchy: h,
+		var det *pipeline.Inline
+		det, err = pipeline.NewInline(pipeline.Config{
+			Mode:      pipeline.ModeContinuous,
+			Window:    *win,
 			Phi:       *phi,
-			Filter: tdbf.Config{
-				Decay: tdbf.Exponential{Tau: *win},
-			},
-			Seed: *seed,
+			Hierarchy: h,
+			Seed:      *seed,
 			OnEnter: func(p addr.Prefix, at int64) {
 				fmt.Printf("%v ENTER %v\n", time.Duration(at).Round(time.Millisecond), p)
 			},
@@ -122,11 +132,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		for i := range pkts {
-			det.Observe(pkts[i].Src, int64(pkts[i].Size), pkts[i].Ts)
-		}
+		det.ObserveBatch(pkts)
 		fmt.Println("final active set:")
-		printSet(0, span, det.Query(span))
+		printSet(0, span, det.Snapshot(span))
 	default:
 		err = fmt.Errorf("unknown engine %q", *engine)
 	}

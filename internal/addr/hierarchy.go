@@ -146,8 +146,9 @@ func (h Hierarchy) Level(bits uint8) int {
 }
 
 // Match reports whether a belongs to the hierarchy's address family: the
-// ingest-side family filter every engine applies, so dual-stack streams
-// feed each family's detector only its own packets.
+// ingest-side family filter every detector applies when it packs keys
+// (trace.Packer), so dual-stack streams feed each family's detector only
+// its own packets.
 func (h Hierarchy) Match(a Addr) bool {
 	return a.Is4() == (h.fam == V4)
 }

@@ -162,23 +162,10 @@ func (d *Detector) claimedUnder(p addr.Prefix, now int64) float64 {
 	return claimed
 }
 
-// Observe feeds one packet: src's generalisation chain is folded into the
-// filters at timestamp now (ns, non-decreasing), and the chain's prefixes
-// are checked for admission or exit. Packets outside the hierarchy's
-// address family are dropped without touching the mass tracker, so a
-// dual-stack stream thresholds against its own family's mass only.
-func (d *Detector) Observe(src addr.Addr, bytes int64, now int64) {
-	if !d.cfg.Hierarchy.Match(src) {
-		return
-	}
-	d.anc = d.cfg.Hierarchy.Ancestors(src, d.anc[:0])
-	d.observeChain(bytes, now)
-}
-
-// observeChain is the shared per-packet body of Observe/ObserveKeys: it
-// assumes d.anc already holds the packet's generalisation chain (leaf
-// first) and applies the mass update, filter folds and admission pass.
-func (d *Detector) observeChain(bytes int64, now int64) {
+// update is the per-packet body of UpdateKeys: it assumes d.anc already
+// holds the packet's generalisation chain (leaf first) and applies the
+// mass update, filter folds and admission pass.
+func (d *Detector) update(bytes int64, now int64) {
 	if !d.started {
 		d.started = true
 		d.warmEnd = now + int64(d.cfg.Warmup)
@@ -222,31 +209,23 @@ func (d *Detector) observeChain(bytes int64, now int64) {
 	}
 }
 
-// ObserveBatch feeds a run of time-ordered packets. Admission checks are
-// inherently per packet (each arrival can change the active set), so the
-// batch form's gain is amortising the ingest spine's per-packet dispatch,
-// not reordering work.
-func (d *Detector) ObserveBatch(pkts []trace.Packet) {
-	for i := range pkts {
-		d.Observe(pkts[i].Src, int64(pkts[i].Size), pkts[i].Ts)
-	}
-}
-
-// ObserveKeys feeds a columnar batch of pre-packed, time-ordered leaf
-// keys. The generalisation chain is rebuilt from the leaf key by masking
-// with the hierarchy's nested per-level masks (PrefixOfKey inverts the
-// packing losslessly, so the chain is identical to Ancestors on the
-// original address); everything after that is the shared per-packet
-// admission body, so the final state is byte-identical to Observe calls
-// on the matching substream.
-func (d *Detector) ObserveKeys(b *trace.KeyBatch) {
+// UpdateKeys feeds a columnar batch of pre-packed, family-filtered,
+// time-ordered leaf keys (see trace.KeyBatch): each packet's
+// generalisation chain is folded into the filters at its timestamp (ns,
+// non-decreasing), and the chain's prefixes are checked for admission or
+// exit. The chain is rebuilt from the leaf key by masking with the
+// hierarchy's nested per-level masks (PrefixOfKey inverts the packing
+// losslessly, so it equals Ancestors on the original address).
+// Admission is inherently per packet — each arrival can change the
+// active set — so batching amortises dispatch, not work.
+func (d *Detector) UpdateKeys(b *trace.KeyBatch) {
 	h := d.cfg.Hierarchy
 	for i, key := range b.Keys {
 		d.anc = d.anc[:0]
 		for l, m := range d.masks {
 			d.anc = append(d.anc, h.PrefixOfKey(key&m, l))
 		}
-		d.observeChain(int64(b.Sizes[i]), b.Ts[i])
+		d.update(int64(b.Sizes[i]), b.Ts[i])
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 )
 
 // dualStackStream synthesises a time-ordered mixed-family stream so the
-// ObserveBatch family filter and the key-path chain reconstruction both
-// get exercised against per-packet Observe.
+// packing family filter and the key-path chain reconstruction both get
+// exercised across batch boundaries.
 func dualStackStream(seed int64, n int) []trace.Packet {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]trace.Packet, n)
@@ -29,12 +29,11 @@ func dualStackStream(seed int64, n int) []trace.Packet {
 	return out
 }
 
-// TestContinuousKeyBatchMatchesObserve pins the key-path ingest to the
-// per-packet path: ObserveKeys (fed producer-packed KeyBatches, so each
-// packet's generalisation chain is rebuilt from the leaf key by masking)
-// must leave the detector in a byte-identical state to Observe calls —
-// same admissions, same exits, same filter folds — for both families,
-// with and without level sampling, across awkward batch boundaries.
+// TestContinuousKeyBatchMatchesObserve pins the chunking invariance of
+// the detector's one ingest path: UpdateKeys fed awkward batches must
+// leave the detector in the state per-packet ingest leaves it — same
+// admissions, same exits, same filter folds — for both families, with
+// and without level sampling.
 func TestContinuousKeyBatchMatchesObserve(t *testing.T) {
 	pkts := dualStackStream(17, 16000)
 	last := pkts[len(pkts)-1].Ts
@@ -67,7 +66,7 @@ func TestContinuousKeyBatchMatchesObserve(t *testing.T) {
 				}
 				ref := mk()
 				for i := range pkts {
-					ref.Observe(pkts[i].Src, int64(pkts[i].Size), pkts[i].Ts)
+					observe(ref, pkts[i].Src, int64(pkts[i].Size), pkts[i].Ts)
 				}
 				want := ref.Query(last)
 				for _, bs := range []int{1, 7, 97, len(pkts)} {
@@ -76,8 +75,8 @@ func TestContinuousKeyBatchMatchesObserve(t *testing.T) {
 					for off := 0; off < len(pkts); off += bs {
 						end := min(off+bs, len(pkts))
 						kb.Reset()
-						kb.AppendPackets(h, pkts[off:end])
-						got.ObserveKeys(kb)
+						kb.AppendPackets(trace.NewPacker(h), pkts[off:end])
+						got.UpdateKeys(kb)
 					}
 					if got.Packets() != ref.Packets() {
 						t.Fatalf("chunk %d: packets %d != per-packet %d", bs, got.Packets(), ref.Packets())
@@ -93,6 +92,30 @@ func TestContinuousKeyBatchMatchesObserve(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// observe feeds one packet to d through its only ingest path,
+// UpdateKeys, packed by the columnar packing rule — so a source outside
+// d's address family is dropped, exactly as at every executor's ingest.
+func observe(d *Detector, src addr.Addr, bytes, now int64) {
+	var kb trace.KeyBatch
+	kb.AppendPackets(trace.NewPacker(d.cfg.Hierarchy), []trace.Packet{{Ts: now, Src: src, Size: uint32(bytes)}})
+	d.UpdateKeys(&kb)
+}
+
+// benchUpdateKeys measures d's ingest per packet: b.N synthetic packets,
+// 1 µs apart, packed and fed in 256-packet batches.
+func benchUpdateKeys(b *testing.B, d *Detector) {
+	h := d.cfg.Hierarchy
+	kb := trace.NewKeyBatch(256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		kb.Append(h.Key(addr.From4Uint32(uint32(i)*2654435761), 0), 1000, int64(i)*1000)
+		if kb.Len() == 256 || i == b.N-1 {
+			d.UpdateKeys(kb)
+			kb.Reset()
 		}
 	}
 }

@@ -5,11 +5,9 @@ import (
 	"time"
 
 	"hiddenhhh/internal/addr"
-	"hiddenhhh/internal/continuous"
 	"hiddenhhh/internal/hhh"
 	"hiddenhhh/internal/metrics"
-	"hiddenhhh/internal/sketch"
-	"hiddenhhh/internal/tdbf"
+	"hiddenhhh/internal/pipeline"
 	"hiddenhhh/internal/trace"
 	"hiddenhhh/internal/window"
 )
@@ -192,112 +190,21 @@ func ContinuousComparison(provider Provider, cfg ComparisonConfig) (*ComparisonO
 	out.Reports = append(out.Reports,
 		score("sliding-exact", sliding, nsPerPkt(elapsed), peakLeaves*16))
 
-	// Windowed streaming detectors: reset-per-window discipline, driven
-	// through the batch ingest spine.
-	type windowedEngine struct {
-		name        string
-		updateBatch func(pkts []trace.Packet) int64
-		close       func(windowBytes int64) hhh.Set
-		reset       func()
-		size        func() int
-	}
-	mkWindowed := func(we windowedEngine) error {
-		src, err := provider()
-		if err != nil {
-			return err
-		}
+	// Streaming detectors, each driven over an identical clipped replay
+	// through the inline executor. Windowed detectors report every
+	// window's set at its close (the grid of whole windows inside the
+	// span, aligned at 0); continuous ones report a prefix when it enters.
+	windows := int64(window.Config{Width: cfg.Window, End: cfg.Span}.Count())
+	run := func(name string, pc pipeline.Config) error {
 		reported := hhh.NewSet()
-		start := time.Now()
-		err = window.TumbleBatches(src,
-			window.Config{Width: cfg.Window, End: cfg.Span}, 0,
-			we.updateBatch,
-			func(s window.Span) error {
-				reported.UnionInPlace(we.close(s.Bytes))
-				we.reset()
-				return nil
-			})
-		if err != nil {
-			return err
+		end := cfg.Span
+		if pc.Mode == pipeline.ModeWindowed {
+			end = windows * int64(cfg.Window)
+			pc.OnWindow = func(_, _ int64, set hhh.Set) { reported.UnionInPlace(set) }
+		} else {
+			pc.OnEnter = func(p addr.Prefix, _ int64) { reported.Add(hhh.Item{Prefix: p}) }
 		}
-		out.Reports = append(out.Reports,
-			score(we.name, reported, nsPerPkt(time.Since(start)), we.size()))
-		return nil
-	}
-
-	// disjoint-exact: per-window exact computation over a leaf map.
-	leaves := sketch.NewExact(4096)
-	peak := 0
-	if err := mkWindowed(windowedEngine{
-		name: "disjoint-exact",
-		updateBatch: func(pkts []trace.Packet) int64 {
-			var bytes int64
-			for i := range pkts {
-				if !cfg.Hierarchy.Match(pkts[i].Src) {
-					continue
-				}
-				w := int64(pkts[i].Size)
-				bytes += w
-				leaves.Update(cfg.Hierarchy.Key(pkts[i].Src, 0), w)
-			}
-			return bytes
-		},
-		close: func(windowBytes int64) hhh.Set {
-			if leaves.Len() > peak {
-				peak = leaves.Len()
-			}
-			return hhh.Exact(leaves, cfg.Hierarchy, hhh.Threshold(windowBytes, cfg.Phi))
-		},
-		reset: leaves.Reset,
-		size:  func() int { return peak * 16 },
-	}); err != nil {
-		return nil, err
-	}
-
-	// disjoint-perlevel: Space-Saving per level, reset per window.
-	pl := hhh.NewPerLevel(cfg.Hierarchy, cfg.Counters)
-	if err := mkWindowed(windowedEngine{
-		name:        "disjoint-perlevel",
-		updateBatch: pl.UpdateBatch,
-		close: func(windowBytes int64) hhh.Set {
-			return pl.Query(hhh.Threshold(windowBytes, cfg.Phi))
-		},
-		reset: pl.Reset,
-		size:  pl.SizeBytes,
-	}); err != nil {
-		return nil, err
-	}
-
-	// disjoint-rhhh: randomised level sampling, reset per window.
-	rh := hhh.NewRHHH(cfg.Hierarchy, cfg.Counters, cfg.Seed)
-	if err := mkWindowed(windowedEngine{
-		name:        "disjoint-rhhh",
-		updateBatch: rh.UpdateBatch,
-		close: func(windowBytes int64) hhh.Set {
-			return rh.Query(hhh.Threshold(windowBytes, cfg.Phi))
-		},
-		reset: rh.Reset,
-		size:  rh.SizeBytes,
-	}); err != nil {
-		return nil, err
-	}
-
-	// Continuous detectors: TDBF per level, enter events define reports.
-	runContinuous := func(name string, sampled bool) error {
-		reported := hhh.NewSet()
-		det, err := continuous.NewDetector(continuous.Config{
-			Hierarchy: cfg.Hierarchy,
-			Phi:       cfg.Phi,
-			Filter: tdbf.Config{
-				Cells:  cfg.TDBFCells,
-				Hashes: cfg.TDBFHashes,
-				Decay:  tdbf.Exponential{Tau: cfg.Tau},
-			},
-			Sampled: sampled,
-			Seed:    cfg.Seed,
-			OnEnter: func(p addr.Prefix, at int64) {
-				reported.Add(hhh.Item{Prefix: p})
-			},
-		})
+		det, err := pipeline.NewInline(pc)
 		if err != nil {
 			return err
 		}
@@ -306,8 +213,7 @@ func ContinuousComparison(provider Provider, cfg ComparisonConfig) (*ComparisonO
 			return err
 		}
 		start := time.Now()
-		// Clip to the analysis span and feed the detector in batches.
-		clipped := &trace.ClipSource{Src: src, From: 0, To: cfg.Span}
+		clipped := &trace.ClipSource{Src: src, From: 0, To: end}
 		err = trace.ForEachBatch(clipped, 0, func(pkts []trace.Packet) error {
 			det.ObserveBatch(pkts)
 			return nil
@@ -315,15 +221,35 @@ func ContinuousComparison(provider Provider, cfg ComparisonConfig) (*ComparisonO
 		if err != nil {
 			return err
 		}
+		if pc.Mode == pipeline.ModeWindowed {
+			det.Snapshot(end) // close the span's last windows
+		}
 		out.Reports = append(out.Reports,
 			score(name, reported, nsPerPkt(time.Since(start)), det.SizeBytes()))
 		return nil
 	}
-	if err := runContinuous("continuous-tdbf", false); err != nil {
-		return nil, err
+	windowed := func(k pipeline.Kind) pipeline.Config {
+		return pipeline.Config{Mode: pipeline.ModeWindowed, Window: cfg.Window, Phi: cfg.Phi,
+			Engine: k, Counters: cfg.Counters, Hierarchy: cfg.Hierarchy, Seed: cfg.Seed}
 	}
-	if err := runContinuous("continuous-sampled", true); err != nil {
-		return nil, err
+	continuous := func(sampled bool) pipeline.Config {
+		return pipeline.Config{Mode: pipeline.ModeContinuous, Window: cfg.Tau, Phi: cfg.Phi,
+			Cells: cfg.TDBFCells, Hashes: cfg.TDBFHashes, Sampled: sampled,
+			Hierarchy: cfg.Hierarchy, Seed: cfg.Seed}
+	}
+	for _, r := range []struct {
+		name string
+		cfg  pipeline.Config
+	}{
+		{"disjoint-exact", windowed(pipeline.KindExact)},
+		{"disjoint-perlevel", windowed(pipeline.KindPerLevel)},
+		{"disjoint-rhhh", windowed(pipeline.KindRHHH)},
+		{"continuous-tdbf", continuous(false)},
+		{"continuous-sampled", continuous(true)},
+	} {
+		if err := run(r.name, r.cfg); err != nil {
+			return nil, err
+		}
 	}
 
 	return out, nil

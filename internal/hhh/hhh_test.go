@@ -400,7 +400,7 @@ func TestPerLevelExactWhenUnsaturated(t *testing.T) {
 		exact := sketch.NewExact(len(counts))
 		var total int64
 		for a, c := range counts {
-			eng.Update(a, c)
+			update(eng, a, c)
 			exact.Update(h.Key(a, 0), c)
 			total += c
 		}
@@ -429,7 +429,7 @@ func TestPerLevelExactWhenUnsaturatedIPv6(t *testing.T) {
 		exact := sketch.NewExact(len(counts))
 		var total int64
 		for a, c := range counts {
-			eng.Update(a, c)
+			update(eng, a, c)
 			exact.Update(h.Key(a, 0), c)
 			total += c
 		}
@@ -449,12 +449,12 @@ func TestEnginesFilterOtherFamily(t *testing.T) {
 	// Feeding v6 packets to a v4 engine (and vice versa) must neither
 	// count bytes nor produce reports.
 	v4eng := NewPerLevel(v4ByteHierarchy(), 64)
-	v4eng.Update(addr.MustParseAddr("2001:db8::1"), 1000)
+	update(v4eng, addr.MustParseAddr("2001:db8::1"), 1000)
 	if v4eng.Total() != 0 || v4eng.Query(1).Len() != 0 {
 		t.Error("v4 PerLevel accounted a v6 packet")
 	}
 	v6eng := NewRHHH(addr.NewIPv6Hierarchy(addr.Hextet), 64, 1)
-	v6eng.Update(addr.MustParseAddr("10.0.0.1"), 1000)
+	update(v6eng, addr.MustParseAddr("10.0.0.1"), 1000)
 	if v6eng.Total() != 0 || v6eng.Updates() != 0 {
 		t.Error("v6 RHHH accounted a v4 packet")
 	}
@@ -471,10 +471,10 @@ func TestPerLevelNeverMissesLargeHHH(t *testing.T) {
 	var total int64
 	for i := 0; i < 50000; i++ {
 		if i%3 == 0 {
-			eng.Update(heavy, 1000)
+			update(eng, heavy, 1000)
 			total += 1000
 		} else {
-			eng.Update(addr.From4Uint32(rng.Uint32()), 700)
+			update(eng, addr.From4Uint32(rng.Uint32()), 700)
 			total += 700
 		}
 	}
@@ -493,7 +493,7 @@ func TestPerLevelNeverMissesLargeHHH(t *testing.T) {
 func TestPerLevelResetAndSize(t *testing.T) {
 	h := v4ByteHierarchy()
 	eng := NewPerLevel(h, 8)
-	eng.Update(addr.MustParseAddr("1.2.3.4"), 100)
+	update(eng, addr.MustParseAddr("1.2.3.4"), 100)
 	eng.Reset()
 	if eng.Total() != 0 || eng.Query(1).Len() != 0 {
 		t.Error("Reset incomplete")
@@ -521,7 +521,7 @@ func TestRHHHFindsHeavyPrefixes(t *testing.T) {
 		} else {
 			a = addr.From4Uint32(rng.Uint32())
 		}
-		eng.Update(a, 1000)
+		update(eng, a, 1000)
 		total += 1000
 	}
 	if eng.Total() != total || eng.Updates() != 300000 {
@@ -554,7 +554,7 @@ func TestRHHHFindsHeavyPrefixesIPv6(t *testing.T) {
 		} else {
 			a = addr.FromParts(0x2000_0000_0000_0000|rng.Uint64()>>3, rng.Uint64())
 		}
-		eng.Update(a, 1000)
+		update(eng, a, 1000)
 	}
 	set := eng.QueryFraction(0.1)
 	found := false
@@ -576,10 +576,10 @@ func TestRHHHEstimateAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < 500000; i++ {
 		if i%2 == 0 {
-			eng.Update(heavy, 500)
+			update(eng, heavy, 500)
 			heavyBytes += 500
 		} else {
-			eng.Update(addr.From4Uint32(rng.Uint32()), 500)
+			update(eng, addr.From4Uint32(rng.Uint32()), 500)
 		}
 	}
 	set := eng.Query(Threshold(eng.Total(), 0.2))
@@ -599,7 +599,7 @@ func TestRHHHDeterministicUnderSeed(t *testing.T) {
 		eng := NewRHHH(h, 32, seed)
 		rng := rand.New(rand.NewSource(23))
 		for i := 0; i < 20000; i++ {
-			eng.Update(addr.From4Uint32(rng.Uint32()>>8), 100)
+			update(eng, addr.From4Uint32(rng.Uint32()>>8), 100)
 		}
 		return eng.QueryFraction(0.05)
 	}
@@ -611,12 +611,12 @@ func TestRHHHDeterministicUnderSeed(t *testing.T) {
 func TestRHHHResetKeepsWorking(t *testing.T) {
 	h := v4ByteHierarchy()
 	eng := NewRHHH(h, 32, 1)
-	eng.Update(addr.MustParseAddr("1.1.1.1"), 100)
+	update(eng, addr.MustParseAddr("1.1.1.1"), 100)
 	eng.Reset()
 	if eng.Total() != 0 || eng.Updates() != 0 {
 		t.Error("Reset bookkeeping")
 	}
-	eng.Update(addr.MustParseAddr("1.1.1.1"), 100)
+	update(eng, addr.MustParseAddr("1.1.1.1"), 100)
 	if eng.Total() != 100 {
 		t.Error("post-Reset update")
 	}
@@ -647,33 +647,17 @@ func BenchmarkExactHHH(b *testing.B) {
 }
 
 func BenchmarkPerLevelUpdate(b *testing.B) {
-	eng := NewPerLevel(v4ByteHierarchy(), 512)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng.Update(addr.From4Uint32(uint32(i)*2654435761), 1000)
-	}
+	benchUpdateKeys(b, NewPerLevel(v4ByteHierarchy(), 512), func(i int) addr.Addr { return addr.From4Uint32(uint32(i) * 2654435761) })
 }
 
 func BenchmarkPerLevelUpdateIPv6Nibble(b *testing.B) {
-	eng := NewPerLevel(addr.NewIPv6Hierarchy(addr.Nibble), 512)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng.Update(addr.FromParts(uint64(i)*0x9e3779b97f4a7c15, uint64(i)), 1000)
-	}
+	benchUpdateKeys(b, NewPerLevel(addr.NewIPv6Hierarchy(addr.Nibble), 512), func(i int) addr.Addr { return addr.FromParts(uint64(i)*0x9e3779b97f4a7c15, uint64(i)) })
 }
 
 func BenchmarkRHHHUpdate(b *testing.B) {
-	eng := NewRHHH(v4ByteHierarchy(), 512, 7)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng.Update(addr.From4Uint32(uint32(i)*2654435761), 1000)
-	}
+	benchUpdateKeys(b, NewRHHH(v4ByteHierarchy(), 512, 7), func(i int) addr.Addr { return addr.From4Uint32(uint32(i) * 2654435761) })
 }
 
 func BenchmarkRHHHUpdateIPv6Nibble(b *testing.B) {
-	eng := NewRHHH(addr.NewIPv6Hierarchy(addr.Nibble), 512, 7)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng.Update(addr.FromParts(uint64(i)*0x9e3779b97f4a7c15, uint64(i)), 1000)
-	}
+	benchUpdateKeys(b, NewRHHH(addr.NewIPv6Hierarchy(addr.Nibble), 512, 7), func(i int) addr.Addr { return addr.FromParts(uint64(i)*0x9e3779b97f4a7c15, uint64(i)) })
 }

@@ -43,18 +43,18 @@ func hierarchiesUnderTest() map[string]addr.Hierarchy {
 // primes straddling no particular boundary, and one giant batch.
 var chunkSizes = []int{1, 7, 97, 1 << 20}
 
-// TestPerLevelKeyBatchMatchesUpdate pins the columnar fast path to the
-// per-packet path: UpdateBatch (the packing shim over UpdateKeys) must
-// leave PerLevel in a byte-identical state to per-packet Update calls on
-// the same dual-stack stream, for both families' key packings and any
-// batch boundaries.
+// TestPerLevelKeyBatchMatchesUpdate pins the chunking invariance of the
+// engine's one ingest path: UpdateKeys fed arbitrary batches of a
+// dual-stack stream must leave PerLevel in the state per-packet ingest
+// (one-packet batches, as an executor's Observe feeds) leaves it, for
+// both families' key packings.
 func TestPerLevelKeyBatchMatchesUpdate(t *testing.T) {
 	pkts := dualStackStream(3, 20000)
 	for name, h := range hierarchiesUnderTest() {
 		t.Run(name, func(t *testing.T) {
 			ref := NewPerLevel(h, 64)
 			for i := range pkts {
-				ref.Update(pkts[i].Src, int64(pkts[i].Size))
+				update(ref, pkts[i].Src, int64(pkts[i].Size))
 			}
 			T := ref.Total() / 50
 			want := ref.Query(T)
@@ -63,7 +63,7 @@ func TestPerLevelKeyBatchMatchesUpdate(t *testing.T) {
 				var added int64
 				for off := 0; off < len(pkts); off += bs {
 					end := min(off+bs, len(pkts))
-					added += got.UpdateBatch(pkts[off:end])
+					added += updateBatch(got, pkts[off:end])
 				}
 				if added != ref.Total() || got.Total() != ref.Total() {
 					t.Fatalf("chunk %d: total %d (added %d) != per-packet %d", bs, got.Total(), added, ref.Total())
@@ -79,14 +79,14 @@ func TestPerLevelKeyBatchMatchesUpdate(t *testing.T) {
 // TestRHHHKeyBatchMatchesUpdate is the same pin for the sampled engine,
 // where equivalence is strictest: the level sampler must advance once per
 // family-matching packet in stream order, so any filter or ordering skew
-// between the two paths changes which sketch each packet lands in.
+// between chunkings changes which sketch each packet lands in.
 func TestRHHHKeyBatchMatchesUpdate(t *testing.T) {
 	pkts := dualStackStream(5, 20000)
 	for name, h := range hierarchiesUnderTest() {
 		t.Run(name, func(t *testing.T) {
 			ref := NewRHHH(h, 64, 99)
 			for i := range pkts {
-				ref.Update(pkts[i].Src, int64(pkts[i].Size))
+				update(ref, pkts[i].Src, int64(pkts[i].Size))
 			}
 			T := ref.Total() / 50
 			want := ref.Query(T)
@@ -94,7 +94,7 @@ func TestRHHHKeyBatchMatchesUpdate(t *testing.T) {
 				got := NewRHHH(h, 64, 99)
 				for off := 0; off < len(pkts); off += bs {
 					end := min(off+bs, len(pkts))
-					got.UpdateBatch(pkts[off:end])
+					updateBatch(got, pkts[off:end])
 				}
 				if got.Total() != ref.Total() || got.Updates() != ref.Updates() {
 					t.Fatalf("chunk %d: total/updates %d/%d != per-packet %d/%d",
@@ -118,7 +118,7 @@ func TestKeyBatchPackingInvariants(t *testing.T) {
 	for name, h := range hierarchiesUnderTest() {
 		t.Run(name, func(t *testing.T) {
 			b := trace.NewKeyBatch(64)
-			packed := b.AppendPackets(h, pkts)
+			packed := b.AppendPackets(trace.NewPacker(h), pkts)
 			matching := 0
 			for i := range pkts {
 				if h.Match(pkts[i].Src) {
@@ -148,5 +148,41 @@ func TestKeyBatchPackingInvariants(t *testing.T) {
 				j++
 			}
 		})
+	}
+}
+
+// keyEngine is the ingest surface the HHH engines share.
+type keyEngine interface {
+	Hierarchy() addr.Hierarchy
+	UpdateKeys(b *trace.KeyBatch) int64
+}
+
+// updateBatch feeds a run of packets to e through its only ingest path,
+// UpdateKeys, packed by the columnar packing rule — so sources outside
+// e's address family are dropped, exactly as at every executor's ingest.
+// It returns the byte weight added.
+func updateBatch(e keyEngine, pkts []trace.Packet) int64 {
+	var kb trace.KeyBatch
+	kb.AppendPackets(trace.NewPacker(e.Hierarchy()), pkts)
+	return e.UpdateKeys(&kb)
+}
+
+// update feeds one packet of bytes from src.
+func update(e keyEngine, src addr.Addr, bytes int64) {
+	updateBatch(e, []trace.Packet{{Src: src, Size: uint32(bytes)}})
+}
+
+// benchUpdateKeys measures e's ingest per packet: b.N sources drawn from
+// src, packed and fed in 256-key batches.
+func benchUpdateKeys(b *testing.B, e keyEngine, src func(i int) addr.Addr) {
+	h := e.Hierarchy()
+	kb := trace.NewKeyBatch(256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		kb.Append(h.Key(src(i), 0), 1000, 0)
+		if kb.Len() == 256 || i == b.N-1 {
+			e.UpdateKeys(kb)
+			kb.Reset()
+		}
 	}
 }

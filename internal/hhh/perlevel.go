@@ -15,16 +15,15 @@ import (
 // underestimating subtree volumes, with overestimation bounded by N/k.
 // Conditioned volumes are derived at query time by discounting the
 // (estimated) subtree volume of every descendant HHH, mirroring the exact
-// bottom-up pass. Packets outside the hierarchy's address family are
-// ignored (see addr.Hierarchy.Match), so the engine can sit directly on a
-// dual-stack stream.
+// bottom-up pass. The engine's one ingest path is UpdateKeys; the
+// executors pack its keys (trace.Packer), dropping packets outside the
+// hierarchy's address family, so it can sit behind a dual-stack stream.
 type PerLevel struct {
 	h     addr.Hierarchy
 	sks   []*sketch.SpaceSaving
 	masks []uint64 // per-level key masks, hoisted out of the hot path
 	high  bool     // which address half keys come from, ditto
 	qs    *QueryScratch
-	kb    trace.KeyBatch // scratch for the UpdateBatch packing shim
 	total int64
 }
 
@@ -48,42 +47,15 @@ func NewPerLevel(h addr.Hierarchy, k int) *PerLevel {
 // Hierarchy returns the configured hierarchy.
 func (p *PerLevel) Hierarchy() addr.Hierarchy { return p.h }
 
-// Update feeds one packet's source address and byte size. Packets of the
-// other address family are dropped without counting toward Total.
-func (p *PerLevel) Update(src addr.Addr, bytes int64) {
-	if !p.h.Match(src) {
-		return
-	}
-	p.total += bytes
-	half := src.Lo()
-	if p.high {
-		half = src.Hi()
-	}
-	for l, m := range p.masks {
-		p.sks[l].Update(half&m, bytes)
-	}
-}
-
-// UpdateBatch feeds a run of packets (source address keyed, byte
-// weighted) and returns the total byte weight added — packets outside
-// the hierarchy's family are skipped and do not count. It is a thin
-// packing shim: leaf keys are packed once into a reusable scratch
-// KeyBatch and handed to UpdateKeys, so the final state is identical to
-// calling Update per packet.
-func (p *PerLevel) UpdateBatch(pkts []trace.Packet) int64 {
-	p.kb.Reset()
-	p.kb.AppendPackets(p.h, pkts)
-	return p.UpdateKeys(&p.kb)
-}
-
 // UpdateKeys feeds a columnar batch of pre-packed leaf keys and returns
 // the total byte weight added. Per-level keys are derived by masking the
 // leaf key with the hierarchy's nested per-level masks — no Addr math in
 // the loop. The batch is applied level-major: each level's summary
 // absorbs the whole run while its working set is hot, which is where
-// the batch ingest path gains over per-packet calls. The final state is
-// identical to calling Update per packet — per-level summaries are
-// independent, and each still sees the packets in stream order.
+// the batch ingest path gains over per-packet calls. The final state
+// does not depend on how the stream is cut into batches — per-level
+// summaries are independent, and each still sees the packets in stream
+// order.
 func (p *PerLevel) UpdateKeys(b *trace.KeyBatch) int64 {
 	bytes := b.Bytes()
 	p.total += bytes

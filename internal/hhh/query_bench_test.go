@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hiddenhhh/internal/addr"
+	"hiddenhhh/internal/trace"
 )
 
 // BenchmarkPerLevelEngineQuery measures the conditioned bottom-up query
@@ -18,7 +19,7 @@ func BenchmarkPerLevelEngineQuery(b *testing.B) {
 	z := rand.NewZipf(rng, 1.2, 1, 1<<16)
 	for i := 0; i < 300000; i++ {
 		a := addr.From4Uint32(uint32(z.Uint64()) * 2654435761)
-		eng.Update(a, int64(40+rng.Intn(1460)))
+		update(eng, a, int64(40+rng.Intn(1460)))
 	}
 	T := Threshold(eng.Total(), 0.05)
 	b.ReportAllocs()
@@ -31,22 +32,23 @@ func BenchmarkPerLevelEngineQuery(b *testing.B) {
 }
 
 // BenchmarkPerLevelEngineUpdate measures the per-packet engine update
-// (all hierarchy levels) against a detector-sized summary.
+// (all hierarchy levels) against a detector-sized summary, fed the way
+// the executors feed it: pre-packed keys in 256-packet batches.
 func BenchmarkPerLevelEngineUpdate(b *testing.B) {
 	h := addr.NewIPv4Hierarchy(addr.Byte)
 	eng := NewPerLevel(h, 512)
 	rng := rand.New(rand.NewSource(2))
 	z := rand.NewZipf(rng, 1.2, 1, 1<<16)
-	const n = 1 << 16
-	addrs := make([]addr.Addr, n)
-	sizes := make([]int64, n)
-	for i := range addrs {
-		addrs[i] = addr.From4Uint32(uint32(z.Uint64()) * 2654435761)
-		sizes[i] = int64(40 + rng.Intn(1460))
+	const n, batch = 1 << 16, 256
+	kb := trace.NewKeyBatch(n)
+	for i := 0; i < n; i++ {
+		kb.Append(h.Key(addr.From4Uint32(uint32(z.Uint64())*2654435761), 0), uint32(40+rng.Intn(1460)), 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Update(addrs[i&(n-1)], sizes[i&(n-1)])
+	for i := 0; i < b.N; i += batch {
+		lo := i & (n - 1)
+		hi := lo + min(batch, b.N-i)
+		eng.UpdateKeys(&trace.KeyBatch{Keys: kb.Keys[lo:hi], Sizes: kb.Sizes[lo:hi], Ts: kb.Ts[lo:hi]})
 	}
 }

@@ -23,8 +23,8 @@ import (
 // The trade-off is variance: estimates converge as the per-level sample
 // grows, so RHHH needs a minimum stream length before its output
 // stabilises — one of the behaviours the continuous-comparison experiment
-// surfaces on short windows. Packets outside the hierarchy's address
-// family are ignored (see addr.Hierarchy.Match).
+// surfaces on short windows. Like PerLevel, its one ingest path is
+// UpdateKeys over family-filtered packed keys.
 type RHHH struct {
 	h       addr.Hierarchy
 	sks     []*sketch.SpaceSaving
@@ -35,7 +35,6 @@ type RHHH struct {
 	total   int64
 	updates int64
 	qs      *QueryScratch
-	kb      trace.KeyBatch // scratch for the UpdateBatch packing shim
 }
 
 // NewRHHH builds an engine with k counters per level and a deterministic
@@ -61,42 +60,12 @@ func NewRHHH(h addr.Hierarchy, k int, seed uint64) *RHHH {
 // Hierarchy returns the configured hierarchy.
 func (r *RHHH) Hierarchy() addr.Hierarchy { return r.h }
 
-// Update feeds one packet, sampling a single level to update. Packets of
-// the other address family are dropped without advancing the sampler.
-func (r *RHHH) Update(src addr.Addr, bytes int64) {
-	if !r.h.Match(src) {
-		return
-	}
-	r.total += bytes
-	r.updates++
-	// splitmix64 step, then unbiased-enough high-multiply range reduction.
-	r.rng += 0x9e3779b97f4a7c15
-	l := int((hashx.Mix64(r.rng) >> 32) * r.levels >> 32)
-	half := src.Lo()
-	if r.high {
-		half = src.Hi()
-	}
-	r.sks[l].Update(half&r.masks[l], bytes)
-}
-
-// UpdateBatch feeds a run of packets and returns the total byte weight
-// added (family-filtered, like Update). It is a thin packing shim over
-// UpdateKeys; levels are drawn per matching packet in the same
-// deterministic sequence as repeated Update calls, so the final state
-// is identical.
-func (r *RHHH) UpdateBatch(pkts []trace.Packet) int64 {
-	r.kb.Reset()
-	r.kb.AppendPackets(r.h, pkts)
-	return r.UpdateKeys(&r.kb)
-}
-
 // UpdateKeys feeds a columnar batch of pre-packed leaf keys and returns
 // the total byte weight added. The sampled level's key is the leaf key
 // masked by that level's nested mask — no Addr math in the loop. Levels
-// are drawn per packet in the same deterministic sequence as repeated
-// Update calls on the matching substream, so the final state is
-// identical; the batch form amortises the per-packet call overhead of
-// the ingest spine.
+// are drawn per packet in one deterministic sequence, so the final state
+// does not depend on how the stream is cut into batches; the batch form
+// amortises the per-packet call overhead of the ingest spine.
 func (r *RHHH) UpdateKeys(b *trace.KeyBatch) int64 {
 	var bytes int64
 	rng := r.rng

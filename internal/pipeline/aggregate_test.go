@@ -11,6 +11,7 @@ import (
 	"hiddenhhh/internal/hhh"
 	"hiddenhhh/internal/sketch"
 	"hiddenhhh/internal/swhh"
+	"hiddenhhh/internal/trace"
 	"hiddenhhh/internal/wire"
 )
 
@@ -309,9 +310,11 @@ func TestAggregatorSliding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var kb trace.KeyBatch
 		for now := int64(0); now < upto; now += int64(10 * time.Millisecond) {
-			d.Update(addr.From4(10, 0, 0, hostBase), 100, now)
+			kb.Append(h.Key(addr.From4(10, 0, 0, hostBase), 0), 100, now)
 		}
+		d.UpdateKeys(&kb)
 		return d
 	}
 	seal := func(seq int64, d *swhh.SlidingHHH, end int64) Sealed {

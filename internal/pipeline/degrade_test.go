@@ -34,7 +34,7 @@ func twoShardSources(t *testing.T, d *Sharded) [2]addr.Addr {
 	found := [2]bool{}
 	for i := uint32(1); i < 1000; i++ {
 		a := addr.From4Uint32(10<<24 | i)
-		si := d.shardOf(a)
+		si := d.shardOf(d.cfg.Hierarchy.Key(a, 0))
 		if !found[si] {
 			srcs[si], found[si] = a, true
 		}
@@ -71,7 +71,7 @@ func TestShedStalledShardExactAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkts := shedStream(2000, 2)
-	target := d.shardOf(pkts[0].Src)
+	target := d.shardOf(d.cfg.Hierarchy.Key(pkts[0].Src, 0))
 	release := plan.BlockShard(target)
 
 	// Concurrent readers for the whole run: the introspection surface is
@@ -95,7 +95,7 @@ func TestShedStalledShardExactAccounting(t *testing.T) {
 
 	routed := make([]int64, 4)
 	for i := range pkts {
-		routed[d.shardOf(pkts[i].Src)]++
+		routed[d.shardOf(d.cfg.Hierarchy.Key(pkts[i].Src, 0))]++
 	}
 	for i := 0; i < len(pkts); i += 100 {
 		end := i + 100

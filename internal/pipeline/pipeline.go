@@ -1,10 +1,13 @@
-// Package pipeline implements the sharded concurrent ingest pipeline: N
-// worker shards, each owning an independent mergeable summary fed through
-// a bounded SPSC ring of packet batches, with packets hash-partitioned by
-// source address.
+// Package pipeline is the module's one streaming executor, generic over
+// the paper's three window models (Config.Mode), each written once as a
+// Summary. It comes in two forms over the same Summary: Inline (see
+// inline.go) runs one summary on the caller's goroutine, and Sharded —
+// the sharded concurrent ingest pipeline — runs N worker shards, each
+// owning an independent mergeable summary fed through a bounded SPSC
+// ring of packet batches, with packets hash-partitioned by source
+// address.
 //
-// The pipeline is generic over the paper's three window models, selected
-// by Config.Mode. Each shard holds a Summary — a mergeable digest of its
+// In Sharded, each shard holds a Summary — a mergeable digest of its
 // substream — and all coordination happens through barrier tokens pushed
 // into every shard's ring. Ring FIFO order guarantees a shard reaches a
 // token only after absorbing every batch staged before it; the last shard
@@ -43,9 +46,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -246,6 +247,12 @@ type Config struct {
 	// not call back into the detector and must not block: a stalled
 	// callback stalls the merge it is published from.
 	OnWindow func(start, end int64, set hhh.Set)
+	// OnEnter and OnExit, when set, observe the continuous detector's
+	// admission transitions with the timestamp that triggered them
+	// (ModeContinuous, Inline only: a shard admits against its own
+	// substream's mass, so shard-local transitions are not detections).
+	OnEnter func(p addr.Prefix, at int64)
+	OnExit  func(p addr.Prefix, at int64)
 	// OnSeal, when set, receives every completed merge additionally
 	// sealed into a versioned internal/wire frame (see seal.go): each
 	// closed window in ModeWindowed, and each Snapshot barrier in the
@@ -275,6 +282,9 @@ func (c *Config) setDefaults() error {
 	}
 	if c.OnWindow != nil && c.Mode != ModeWindowed {
 		return fmt.Errorf("pipeline: OnWindow requires ModeWindowed (mode %v has no window closes)", c.Mode)
+	}
+	if (c.OnEnter != nil || c.OnExit != nil) && c.Mode != ModeContinuous {
+		return fmt.Errorf("pipeline: OnEnter/OnExit require ModeContinuous")
 	}
 	if c.Shards <= 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
@@ -372,6 +382,8 @@ func newSummary(cfg *Config, shard int) (Summary, error) {
 			ExitRatio: cfg.ExitRatio,
 			Sampled:   cfg.Sampled,
 			Seed:      cfg.Seed,
+			OnEnter:   cfg.OnEnter,
+			OnExit:    cfg.OnExit,
 		})
 		if err != nil {
 			return nil, err
@@ -393,10 +405,10 @@ func newSummary(cfg *Config, shard int) (Summary, error) {
 	}
 }
 
-// windowedSummary is one disjoint-window shard summary — exactly one of
-// the three engine fields is active, mirroring the windowed detector's
-// engine dispatch. It carries no time state: Advance is a no-op and Query
-// ignores now, thresholding against the accumulated window volume.
+// windowedSummary is one disjoint-window summary — exactly one of the
+// three engine fields is active, per Config.Engine. It carries no time
+// state: Advance is a no-op and Query ignores now, thresholding against
+// the accumulated window volume.
 type windowedSummary struct {
 	h   addr.Hierarchy
 	phi float64
@@ -525,7 +537,7 @@ type continuousSummary struct {
 	d *continuous.Detector
 }
 
-func (e *continuousSummary) UpdateKeys(b *trace.KeyBatch) { e.d.ObserveKeys(b) }
+func (e *continuousSummary) UpdateKeys(b *trace.KeyBatch) { e.d.UpdateKeys(b) }
 func (e *continuousSummary) Advance(int64)                {}
 func (e *continuousSummary) Merge(s Summary)              { e.d.Merge(s.(*continuousSummary).d) }
 func (e *continuousSummary) Reset()                       { e.d.Reset() }
@@ -643,11 +655,10 @@ type Sharded struct {
 	seal *sealState
 
 	// Coordinator state: owned by the ingest goroutine.
-	started       bool
-	curEnd        int64
-	staging       []*trace.KeyBatch
-	lastBarrier   *barrier
-	windowHasData bool
+	win         tumbler
+	pack        trace.Packer
+	staging     []*trace.KeyBatch
+	lastBarrier *barrier
 
 	// Lifecycle: closed flips exactly once; lifeMu serialises Close
 	// against the barrier-broadcasting paths (Snapshot, and Close itself)
@@ -697,6 +708,9 @@ func New(cfg Config) (*Sharded, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
+	if cfg.OnEnter != nil || cfg.OnExit != nil {
+		return nil, fmt.Errorf("pipeline: OnEnter/OnExit require the inline executor (shard-local admissions are not detections)")
+	}
 	merged, err := newSummary(&cfg, 0)
 	if err != nil {
 		return nil, err
@@ -707,6 +721,8 @@ func New(cfg Config) (*Sharded, error) {
 		shards:  make([]*shard, cfg.Shards),
 		merged:  merged,
 		staging: make([]*trace.KeyBatch, cfg.Shards),
+		win:     tumbler{width: int64(cfg.Window), onWindow: cfg.OnWindow},
+		pack:    trace.NewPacker(cfg.Hierarchy),
 	}
 	d.pub.Store(&WindowReport{Set: hhh.NewSet()})
 	d.mergedSize.Store(int64(d.merged.SizeBytes()))
@@ -792,13 +808,13 @@ func (d *Sharded) recycle(s *shard, kb *trace.KeyBatch) {
 	}
 }
 
-// shardOf hash-partitions a source address onto a shard: the packed
-// leaf-level hierarchy key — computed once per packet by the producer —
-// feeds the mix, so partitioning costs no additional Addr math and two
-// sources the hierarchy cannot distinguish (equal leaf keys) always land
-// on the same shard.
-func (d *Sharded) shardOf(src addr.Addr) int {
-	return hashx.Bucket(hashx.Mix64(d.cfg.Hierarchy.Key(src, 0)), len(d.shards))
+// shardOf is the partition rule: it hash-partitions a packed leaf key
+// onto a shard. The key is computed once per packet by the producer, so
+// partitioning costs no additional Addr math, and two sources the
+// hierarchy cannot distinguish (equal leaf keys) always land on the same
+// shard.
+func (d *Sharded) shardOf(key uint64) int {
+	return hashx.Bucket(hashx.Mix64(key), len(d.shards))
 }
 
 // Observe implements the Detector ingest contract for one packet. After
@@ -816,18 +832,12 @@ func (d *Sharded) TryObserve(p *trace.Packet) error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
-	if d.cfg.Mode != ModeWindowed {
-		d.stage(p)
-		return nil
+	if d.cfg.Mode == ModeWindowed {
+		d.win.enter(p.Ts, d)
 	}
-	if !d.started {
-		d.started = true
-		d.curEnd = (p.Ts/d.width + 1) * d.width
+	if d.stage(p) {
+		d.win.hasData = true
 	}
-	for p.Ts >= d.curEnd {
-		d.closeWindow()
-	}
-	d.stage(p)
 	return nil
 }
 
@@ -845,51 +855,47 @@ func (d *Sharded) TryObserveBatch(pkts []trace.Packet) error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
-	if d.cfg.Mode != ModeWindowed {
-		for i := range pkts {
-			d.stage(&pkts[i])
-		}
-		return nil
-	}
-	for len(pkts) > 0 {
-		p := &pkts[0]
-		if !d.started {
-			d.started = true
-			d.curEnd = (p.Ts/d.width + 1) * d.width
-		}
-		for p.Ts >= d.curEnd {
-			d.closeWindow()
-		}
-		n := sort.Search(len(pkts), func(i int) bool { return pkts[i].Ts >= d.curEnd })
-		for i := range pkts[:n] {
-			d.stage(&pkts[i])
-		}
-		pkts = pkts[n:]
+	if d.cfg.Mode == ModeWindowed {
+		d.win.feed(pkts, d)
+	} else {
+		d.ingest(pkts)
 	}
 	return nil
 }
 
+// ingest stages a run of packets lying inside the open window (windowed
+// mode) or anywhere in time (the other modes) and reports whether any
+// passed the family filter.
+func (d *Sharded) ingest(pkts []trace.Packet) bool {
+	staged := false
+	for i := range pkts {
+		if d.stage(&pkts[i]) {
+			staged = true
+		}
+	}
+	return staged
+}
+
 // stage packs one packet onto its shard's staging key-batch, flushing
-// the batch into the ring when full. This is the single point where the
-// hierarchy key is computed and the family filter runs: packets of the
-// other address family are counted in the ingest totals but never
-// staged (the engines would have dropped them anyway), and everything
-// downstream — rings, engines, merges — sees only packed keys.
-func (d *Sharded) stage(p *trace.Packet) {
+// the batch into the ring when full, and reports whether the packet was
+// staged. This is the sharded executor's packing point (trace.Packer,
+// the rule the inline executor packs by too): packets of the other
+// address family are counted in the ingest totals but never staged, and
+// everything downstream — rings, engines, merges — sees only packed keys.
+func (d *Sharded) stage(p *trace.Packet) bool {
 	d.packets.Add(1)
 	d.bytes.Add(int64(p.Size))
-	h := &d.cfg.Hierarchy
-	if !h.Match(p.Src) {
-		return
+	key, ok := d.pack.Key(p.Src)
+	if !ok {
+		return false
 	}
-	key := h.Key(p.Src, 0)
-	si := hashx.Bucket(hashx.Mix64(key), len(d.shards))
+	si := d.shardOf(key)
 	kb := d.staging[si]
 	kb.Append(key, p.Size, p.Ts)
-	d.windowHasData = true
 	if kb.Len() >= d.cfg.Batch {
 		d.pushBatch(si, kb)
 	}
+	return true
 }
 
 // pushBatch hands a staged buffer to the shard's ring and replaces the
@@ -979,33 +985,25 @@ func (d *Sharded) broadcast(b *barrier) {
 // (ModeWindowed). The coordinator does not wait for the merge: the next
 // window's batches queue behind the token, and the barrier itself orders
 // the shards.
-//
-// Empty windows — common when a trace has idle gaps much longer than the
-// window — skip the barrier entirely: the shard summaries hold nothing,
-// so the coordinator publishes the empty set itself after waiting out any
-// in-flight merge (which keeps window reports ordered). A gap of G
-// windows then costs one barrier wait plus G cheap publishes instead of
-// G full shard synchronisations.
-func (d *Sharded) closeWindow() {
-	start, end := d.curEnd-d.width, d.curEnd
-	d.curEnd += d.width
-	if !d.windowHasData {
-		if b := d.lastBarrier; b != nil {
-			d.waitBarrier(b)
-		}
-		set := hhh.NewSet()
-		d.pub.Store(&WindowReport{Set: set, End: end, Shards: len(d.shards)})
-		d.merges.Add(1)
-		if d.cfg.OnWindow != nil {
-			d.cfg.OnWindow(start, end, set)
-		}
-		if d.seal != nil {
-			d.emitSeal(d.emptySealFrame(), start, end, 0, len(d.shards), false)
-		}
-		return
-	}
-	d.windowHasData = false
+func (d *Sharded) closeWindow(start, end int64) {
 	d.broadcast(newBarrier(d, start, end, end, true))
+}
+
+// publishEmpty is the sharded side of the empty-window fast path: the
+// shard summaries hold nothing, so the coordinator skips the barrier and
+// publishes the empty set itself after waiting out any in-flight merge
+// (which keeps window reports ordered). A gap of G windows then costs
+// one barrier wait plus G cheap publishes instead of G full shard
+// synchronisations.
+func (d *Sharded) publishEmpty(start, end int64, set hhh.Set) {
+	if b := d.lastBarrier; b != nil {
+		d.waitBarrier(b)
+	}
+	d.pub.Store(&WindowReport{Set: set, End: end, Shards: len(d.shards)})
+	d.merges.Add(1)
+	if d.seal != nil {
+		d.emitSeal(d.emptySealFrame(), start, end, 0, len(d.shards), false)
+	}
 }
 
 // Snapshot implements Detector. In windowed mode it closes every window
@@ -1032,9 +1030,7 @@ func (d *Sharded) Snapshot(now int64) hhh.Set {
 	var b *barrier
 	if !d.closed.Load() {
 		if d.cfg.Mode == ModeWindowed {
-			for d.started && now >= d.curEnd {
-				d.closeWindow()
-			}
+			d.win.advance(now, d)
 		} else {
 			d.broadcast(newBarrier(d, 0, 0, now, false))
 		}
@@ -1073,22 +1069,7 @@ func (d *Sharded) ReportMass(int64) int64 {
 // [lo, now] in sliding mode, and (math.MinInt64, now] in continuous
 // mode. Like ReportMass, call it after Snapshot(now).
 func (d *Sharded) CoveredSpan(now int64) (lo, hi int64) {
-	switch d.cfg.Mode {
-	case ModeSliding:
-		return d.cfg.slidingConfig().CoveredSince(now), now
-	case ModeContinuous:
-		return math.MinInt64, now
-	default:
-		if d.merges.Load() == 0 {
-			// No window has been published yet: report the empty span
-			// (0, 0), matching the single-threaded windowed detector's
-			// zero-valued lastStart/lastEnd, instead of fabricating the
-			// never-observed window [-Window, 0).
-			return 0, 0
-		}
-		end := d.pub.Load().End
-		return end - d.width, end
-	}
+	return d.cfg.coveredSpan(d.pub.Load(), d.merges.Load() > 0, now)
 }
 
 // SizeBytes reports the pipeline's summary footprint: every shard summary
@@ -1191,8 +1172,8 @@ func (d *Sharded) Stats() Stats {
 // no-ops (TryObserve/TryObserveBatch report ErrClosed, Snapshot returns
 // the last published set). In windowed mode, packets of the final,
 // never-closed window are absorbed into shard summaries but — exactly
-// like the single-threaded windowed detector — are only reported if a
-// Snapshot past the window boundary closed it first.
+// like Inline — are only reported if a Snapshot past the window boundary
+// closed it first.
 //
 // With BarrierTimeout configured the drain wait is bounded too: if a
 // worker is still stuck after the close deadline (ten barrier timeouts,

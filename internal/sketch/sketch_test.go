@@ -327,137 +327,6 @@ func TestHeapSpaceSavingHeapInvariant(t *testing.T) {
 	}
 }
 
-func TestMisraGriesNeverOverestimates(t *testing.T) {
-	stream := zipfStream(20000, 5000, 4)
-	truth := exactOf(stream)
-	mg := NewMisraGries(64)
-	for _, kv := range stream {
-		mg.Update(kv.Key, kv.Count)
-	}
-	for _, kv := range mg.Tracked() {
-		if kv.Count > truth[kv.Key] {
-			t.Fatalf("MisraGries overestimated key %d: %d > %d", kv.Key, kv.Count, truth[kv.Key])
-		}
-	}
-}
-
-func TestMisraGriesErrorBound(t *testing.T) {
-	stream := zipfStream(20000, 5000, 5)
-	truth := exactOf(stream)
-	N := totalOf(stream)
-	const k = 128
-	mg := NewMisraGries(k)
-	for _, kv := range stream {
-		mg.Update(kv.Key, kv.Count)
-	}
-	bound := N / int64(k+1)
-	for key, want := range truth {
-		got := mg.Estimate(key)
-		if got > want {
-			t.Fatalf("overestimate on %d", key)
-		}
-		if want-got > bound {
-			t.Fatalf("underestimation %d exceeds N/(k+1) = %d", want-got, bound)
-		}
-	}
-	if mg.Len() > k {
-		t.Fatalf("holds %d > k=%d counters", mg.Len(), k)
-	}
-}
-
-func TestMisraGriesCapacityOne(t *testing.T) {
-	mg := NewMisraGries(1)
-	mg.Update(1, 10)
-	mg.Update(2, 4) // both decremented by 4; key2 dropped, key1 -> 6
-	if mg.Len() != 1 || mg.Estimate(1) != 6 {
-		t.Errorf("len=%d est1=%d, want 1/6", mg.Len(), mg.Estimate(1))
-	}
-	mg.Reset()
-	if mg.Len() != 0 || mg.Total() != 0 {
-		t.Error("Reset incomplete")
-	}
-}
-
-func TestMisraGriesHeavyKeys(t *testing.T) {
-	mg := NewMisraGries(8)
-	for i := 0; i < 100; i++ {
-		mg.Update(7, 100)
-		mg.Update(uint64(i+10), 1)
-	}
-	hk := mg.HeavyKeys(5000)
-	if len(hk) != 1 || hk[0].Key != 7 {
-		t.Errorf("HeavyKeys = %v, want only key 7", hk)
-	}
-}
-
-func TestMisraGriesPanicsOnBadCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewMisraGries(0) should panic")
-		}
-	}()
-	NewMisraGries(0)
-}
-
-func TestCountMinNeverUnderestimates(t *testing.T) {
-	for _, conservative := range []bool{false, true} {
-		stream := zipfStream(20000, 5000, 6)
-		truth := exactOf(stream)
-		cm := NewCountMin(CountMinOpts{Depth: 4, Width: 1024, Conservative: conservative})
-		for _, kv := range stream {
-			cm.Update(kv.Key, kv.Count)
-		}
-		for key, want := range truth {
-			if got := cm.Estimate(key); got < want {
-				t.Fatalf("conservative=%v: underestimated key %d: %d < %d",
-					conservative, key, got, want)
-			}
-		}
-	}
-}
-
-func TestCountMinConservativeIsTighter(t *testing.T) {
-	stream := zipfStream(30000, 3000, 7)
-	truth := exactOf(stream)
-	plain := NewCountMin(CountMinOpts{Depth: 4, Width: 512})
-	cons := NewCountMin(CountMinOpts{Depth: 4, Width: 512, Conservative: true})
-	for _, kv := range stream {
-		plain.Update(kv.Key, kv.Count)
-		cons.Update(kv.Key, kv.Count)
-	}
-	var plainErr, consErr int64
-	for key, want := range truth {
-		plainErr += plain.Estimate(key) - want
-		consErr += cons.Estimate(key) - want
-	}
-	if consErr > plainErr {
-		t.Errorf("conservative total error %d exceeds plain %d", consErr, plainErr)
-	}
-}
-
-func TestCountMinDefaultsAndSize(t *testing.T) {
-	cm := NewCountMin(CountMinOpts{})
-	if cm.Depth() != 4 || cm.Width() != 2048 {
-		t.Errorf("defaults: depth=%d width=%d", cm.Depth(), cm.Width())
-	}
-	if cm.SizeBytes() != 4*2048*8 {
-		t.Errorf("SizeBytes = %d", cm.SizeBytes())
-	}
-}
-
-func TestCountMinResetAndTotal(t *testing.T) {
-	cm := NewCountMin(CountMinOpts{Depth: 2, Width: 64})
-	cm.Update(1, 10)
-	cm.Update(2, 20)
-	if cm.Total() != 30 {
-		t.Errorf("Total = %d", cm.Total())
-	}
-	cm.Reset()
-	if cm.Total() != 0 || cm.Estimate(1) != 0 {
-		t.Error("Reset incomplete")
-	}
-}
-
 func TestCountSketchUnbiasedOnHeavy(t *testing.T) {
 	stream := zipfStream(50000, 5000, 8)
 	truth := exactOf(stream)
@@ -512,7 +381,7 @@ func TestCountSketchResetAndSize(t *testing.T) {
 
 func TestTrackerInterfaceCompliance(t *testing.T) {
 	// Compile-time + runtime checks that our trackers satisfy Tracker.
-	for _, tr := range []Tracker{NewExact(0), NewSpaceSaving(8), NewMisraGries(8)} {
+	for _, tr := range []Tracker{NewExact(0), NewSpaceSaving(8)} {
 		tr.Update(1, 2)
 		if tr.Total() != 2 {
 			t.Errorf("%T Total = %d", tr, tr.Total())
@@ -521,7 +390,6 @@ func TestTrackerInterfaceCompliance(t *testing.T) {
 			t.Errorf("%T Tracked size", tr)
 		}
 	}
-	var _ Sketch = NewCountMin(CountMinOpts{})
 	var _ Sketch = NewCountSketch(CountSketchOpts{})
 }
 
@@ -544,39 +412,6 @@ func BenchmarkHeapSpaceSavingUpdate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		kv := stream[i&(1<<16-1)]
 		ss.Update(kv.Key, kv.Count)
-	}
-}
-
-func BenchmarkMisraGriesUpdate(b *testing.B) {
-	stream := zipfStream(1<<16, 1<<14, 10)
-	mg := NewMisraGries(1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kv := stream[i&(1<<16-1)]
-		mg.Update(kv.Key, kv.Count)
-	}
-}
-
-func BenchmarkCountMinUpdate(b *testing.B) {
-	stream := zipfStream(1<<16, 1<<14, 11)
-	cm := NewCountMin(CountMinOpts{Depth: 4, Width: 4096})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kv := stream[i&(1<<16-1)]
-		cm.Update(kv.Key, kv.Count)
-	}
-}
-
-func BenchmarkCountMinConservativeUpdate(b *testing.B) {
-	stream := zipfStream(1<<16, 1<<14, 12)
-	cm := NewCountMin(CountMinOpts{Depth: 4, Width: 4096, Conservative: true})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kv := stream[i&(1<<16-1)]
-		cm.Update(kv.Key, kv.Count)
 	}
 }
 

@@ -29,11 +29,11 @@ func dualStackStream(seed int64, n int) []trace.Packet {
 	return out
 }
 
-// TestSlidingKeyBatchMatchesUpdate pins the columnar fast path of the
-// sliding-window engine to per-packet Update calls: same frame rotation,
-// same per-frame totals, same reported set — for both families' key
-// packings and awkward batch boundaries (including batches that straddle
-// frame edges).
+// TestSlidingKeyBatchMatchesUpdate pins the chunking invariance of the
+// sliding-window engine's one ingest path: UpdateKeys fed awkward
+// batches (including batches that straddle frame edges) must match
+// per-packet ingest — same frame rotation, same per-frame totals, same
+// reported set — for both families' key packings.
 func TestSlidingKeyBatchMatchesUpdate(t *testing.T) {
 	pkts := dualStackStream(11, 24000)
 	last := pkts[len(pkts)-1].Ts
@@ -48,7 +48,7 @@ func TestSlidingKeyBatchMatchesUpdate(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range pkts {
-				ref.Update(pkts[i].Src, int64(pkts[i].Size), pkts[i].Ts)
+				update(ref, pkts[i].Src, int64(pkts[i].Size), pkts[i].Ts)
 			}
 			want := ref.Query(0.02, last)
 			wantTotal := ref.WindowTotal(last)
@@ -59,7 +59,7 @@ func TestSlidingKeyBatchMatchesUpdate(t *testing.T) {
 				}
 				for off := 0; off < len(pkts); off += bs {
 					end := min(off+bs, len(pkts))
-					got.UpdateBatch(pkts[off:end])
+					updateBatch(got, pkts[off:end])
 				}
 				if gt := got.WindowTotal(last); gt != wantTotal {
 					t.Fatalf("chunk %d: window total %d != per-packet %d", bs, gt, wantTotal)
@@ -69,5 +69,50 @@ func TestSlidingKeyBatchMatchesUpdate(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// keyEngine is the ingest surface the hierarchical sliding engines share.
+type keyEngine interface {
+	UpdateKeys(b *trace.KeyBatch)
+}
+
+func hierarchyOf(d keyEngine) addr.Hierarchy {
+	switch d := d.(type) {
+	case *SlidingHHH:
+		return d.h
+	case *MementoHHH:
+		return d.h
+	}
+	panic("swhh: unknown engine")
+}
+
+// updateBatch feeds a time-ordered run to d through its only ingest
+// path, UpdateKeys, packed by the columnar packing rule — so sources
+// outside d's address family are dropped, exactly as at every executor's
+// ingest.
+func updateBatch(d keyEngine, pkts []trace.Packet) {
+	var kb trace.KeyBatch
+	kb.AppendPackets(trace.NewPacker(hierarchyOf(d)), pkts)
+	d.UpdateKeys(&kb)
+}
+
+// update feeds one packet of bytes from src at time now.
+func update(d keyEngine, src addr.Addr, bytes, now int64) {
+	updateBatch(d, []trace.Packet{{Ts: now, Src: src, Size: uint32(bytes)}})
+}
+
+// benchUpdateKeys measures d's ingest per packet: b.N synthetic packets,
+// 1 µs apart, packed and fed in 256-packet batches.
+func benchUpdateKeys(b *testing.B, d keyEngine) {
+	h := hierarchyOf(d)
+	kb := trace.NewKeyBatch(256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		kb.Append(h.Key(addr.From4Uint32(uint32(i)*2654435761), 0), 1000, int64(i)*1000)
+		if kb.Len() == 256 || i == b.N-1 {
+			d.UpdateKeys(kb)
+			kb.Reset()
+		}
 	}
 }

@@ -487,7 +487,6 @@ type MementoHHH struct {
 	curFrame int64
 
 	qs *hhh.QueryScratch
-	kb trace.KeyBatch // scratch for the UpdateBatch packing shim
 }
 
 // NewMementoHHH builds a level-sampled Memento HHH detector. The seed
@@ -542,45 +541,14 @@ func (d *MementoHHH) advanceTotals(target int64) {
 	}
 }
 
-// Update feeds one packet's source and byte size at time now. Packets
-// outside the hierarchy's address family are dropped (see
-// addr.Hierarchy.Match). Exactly one hierarchy level is sampled per
-// packet; the exact totals ring counts every matching packet.
-func (d *MementoHHH) Update(src addr.Addr, bytes int64, now int64) {
-	if !d.h.Match(src) {
-		return
-	}
-	half := src.Lo()
-	if d.high {
-		half = src.Hi()
-	}
-	d.advanceTotals(floorDiv(now, d.frameNs))
-	slot := floorMod(d.curFrame, d.ring)
-	d.totals[slot] += bytes
-	d.rng += 0x9e3779b97f4a7c15
-	l := int((hashx.Mix64(d.rng) >> 32) * d.nlev >> 32)
-	lv := d.levels[l]
-	lv.advanceTo(d.curFrame)
-	lv.bump(half&d.masks[l], bytes, slot)
-}
-
-// UpdateBatch feeds a run of time-ordered packets, skipping packets
-// outside the hierarchy's address family. Like SlidingHHH.UpdateBatch it
-// is a thin packing shim over UpdateKeys, so the final state matches
-// per-packet Update calls (the level-sampling draws happen in the same
-// stream order either way).
-func (d *MementoHHH) UpdateBatch(pkts []trace.Packet) {
-	d.kb.Reset()
-	d.kb.AppendPackets(d.h, pkts)
-	d.UpdateKeys(&d.kb)
-}
-
 // UpdateKeys feeds a columnar batch of pre-packed, time-ordered leaf
-// keys. Packets are chunked by frame so each chunk ages every table once,
-// then per-packet level draws route each key — masked down to the drawn
-// level — into that level's current frame cell. The splitmix64 state
-// advances once per packet in stream order, so batch and per-packet
-// ingest produce identical state under the same seed.
+// keys. Packets are chunked by frame so the exact totals ring ages once
+// per chunk; per-packet level draws then route each key — masked down
+// to the drawn level — into that level's current frame cell, aging only
+// the drawn level's table first (Query, Advance and Merge age the rest).
+// The splitmix64 state advances once per packet in stream order, so the
+// final state — frame clocks included — is the same for every chunking
+// of the stream under the same seed.
 func (d *MementoHHH) UpdateKeys(b *trace.KeyBatch) {
 	n := b.Len()
 	rng := d.rng
@@ -592,16 +560,17 @@ func (d *MementoHHH) UpdateKeys(b *trace.KeyBatch) {
 		}
 		d.advanceTotals(fi)
 		slot := floorMod(d.curFrame, d.ring)
-		for _, lv := range d.levels {
-			lv.advanceTo(d.curFrame)
-		}
 		var bytes int64
 		for c := i; c < j; c++ {
 			w := int64(b.Sizes[c])
 			bytes += w
 			rng += 0x9e3779b97f4a7c15
 			l := int((hashx.Mix64(rng) >> 32) * d.nlev >> 32)
-			d.levels[l].bump(b.Keys[c]&d.masks[l], w, slot)
+			lv := d.levels[l]
+			if lv.curFrame < d.curFrame {
+				lv.advanceTo(d.curFrame)
+			}
+			lv.bump(b.Keys[c]&d.masks[l], w, slot)
 		}
 		d.totals[slot] += bytes
 		i = j

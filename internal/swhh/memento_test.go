@@ -53,8 +53,8 @@ func TestMementoEpochTimestampFirstPacket(t *testing.T) {
 		t.Fatal(err)
 	}
 	start = time.Now()
-	d.Update(addr.MustParseAddr("10.1.2.3"), 100, epoch)
-	d.UpdateBatch([]trace.Packet{{Ts: epoch + 1, Src: addr.MustParseAddr("10.1.2.4"), Size: 50}})
+	update(d, addr.MustParseAddr("10.1.2.3"), 100, epoch)
+	updateBatch(d, []trace.Packet{{Ts: epoch + 1, Src: addr.MustParseAddr("10.1.2.4"), Size: 50}})
 	if el := time.Since(start); el > time.Second {
 		t.Fatalf("MementoHHH epoch ingest took %v", el)
 	}
@@ -332,9 +332,9 @@ func TestMementoHHHMergeIdentity(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		now += int64(50 * time.Microsecond)
 		if i%3 == 0 {
-			src.Update(addr.MustParseAddr("10.1.2.3"), 900, now)
+			update(src, addr.MustParseAddr("10.1.2.3"), 900, now)
 		} else {
-			src.Update(addr.From4Uint32(rng.Uint32()), 400, now)
+			update(src, addr.From4Uint32(rng.Uint32()), 400, now)
 		}
 	}
 	src.Advance(now)
@@ -372,9 +372,9 @@ func TestMementoHHHDetectsBoundaryBurst(t *testing.T) {
 	var atBoundary hhh.Set
 	for i := 0; i < 40000; i++ {
 		now += sec / 2000
-		d.Update(addr.From4Uint32(rng.Uint32()), 500, now)
+		update(d, addr.From4Uint32(rng.Uint32()), 500, now)
 		if now > 9500*int64(time.Millisecond) && now < 10500*int64(time.Millisecond) {
-			d.Update(attacker, 1000, now)
+			update(d, attacker, 1000, now)
 		}
 		if atBoundary == nil && now >= 10*sec {
 			atBoundary = d.Query(0.05, now)
@@ -391,10 +391,10 @@ func TestMementoHHHDetectsBoundaryBurst(t *testing.T) {
 	}
 }
 
-// TestMementoKeyBatchMatchesUpdate pins the columnar fast path to
-// per-packet Update calls under the same seed: the level-sampling
-// sequence advances in stream order either way, so frame rotation,
-// totals, and the reported set must be identical for every chunking.
+// TestMementoKeyBatchMatchesUpdate pins UpdateKeys to per-packet ingest
+// under the same seed: the level-sampling sequence advances in stream
+// order for every chunking, so frame rotation, totals, and the reported
+// set must be identical.
 func TestMementoKeyBatchMatchesUpdate(t *testing.T) {
 	pkts := dualStackStream(11, 24000)
 	last := pkts[len(pkts)-1].Ts
@@ -409,7 +409,7 @@ func TestMementoKeyBatchMatchesUpdate(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range pkts {
-				ref.Update(pkts[i].Src, int64(pkts[i].Size), pkts[i].Ts)
+				update(ref, pkts[i].Src, int64(pkts[i].Size), pkts[i].Ts)
 			}
 			want := ref.Query(0.02, last)
 			wantTotal := ref.WindowTotal(last)
@@ -420,7 +420,7 @@ func TestMementoKeyBatchMatchesUpdate(t *testing.T) {
 				}
 				for off := 0; off < len(pkts); off += bs {
 					end := min(off+bs, len(pkts))
-					got.UpdateBatch(pkts[off:end])
+					updateBatch(got, pkts[off:end])
 				}
 				if gt := got.WindowTotal(last); gt != wantTotal {
 					t.Fatalf("chunk %d: window total %d != per-packet %d", bs, gt, wantTotal)
@@ -560,8 +560,5 @@ func BenchmarkMementoHHHUpdate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d.Update(addr.From4Uint32(uint32(i)*2654435761), 1000, int64(i)*1000)
-	}
+	benchUpdateKeys(b, d)
 }

@@ -335,7 +335,6 @@ type SlidingHHH struct {
 	// conditioned pass's discount tables, cleared in place per query.
 	seen map[uint64]struct{}
 	qs   *hhh.QueryScratch
-	kb   trace.KeyBatch // scratch for the UpdateBatch packing shim
 }
 
 // NewSlidingHHH builds a per-level sliding HHH detector.
@@ -359,40 +358,12 @@ func NewSlidingHHH(h addr.Hierarchy, cfg Config) (*SlidingHHH, error) {
 	return d, nil
 }
 
-// Update feeds one packet's source and byte size at time now. Packets
-// outside the hierarchy's address family are dropped (see
-// addr.Hierarchy.Match), so the detector can sit on a dual-stack stream.
-func (d *SlidingHHH) Update(src addr.Addr, bytes int64, now int64) {
-	if !d.h.Match(src) {
-		return
-	}
-	half := src.Lo()
-	if d.high {
-		half = src.Hi()
-	}
-	for l, m := range d.masks {
-		d.levels[l].Update(half&m, bytes, now)
-	}
-}
-
-// UpdateBatch feeds a run of time-ordered packets, skipping packets
-// outside the hierarchy's address family. It is a thin packing shim:
-// matching packets are packed once into a reusable scratch KeyBatch and
-// handed to UpdateKeys, so the final state matches per-packet Update
-// calls (the family filter runs before any frame advances, exactly as
-// Update orders it).
-func (d *SlidingHHH) UpdateBatch(pkts []trace.Packet) {
-	d.kb.Reset()
-	d.kb.AppendPackets(d.h, pkts)
-	d.UpdateKeys(&d.kb)
-}
-
 // UpdateKeys feeds a columnar batch of pre-packed, time-ordered leaf
 // keys. Packets are chunked by frame (on the Ts column) so each chunk
 // advances the frame ring once per level and then applies its updates
 // level-major into the current frame, with per-level keys derived by
-// masking the leaf key — the same final state as per-packet Update
-// calls, at a fraction of the call overhead.
+// masking the leaf key — the same final state for every chunking of the
+// stream, at a fraction of per-packet call overhead.
 func (d *SlidingHHH) UpdateKeys(b *trace.KeyBatch) {
 	frameNs := d.levels[0].frameNs
 	n := b.Len()

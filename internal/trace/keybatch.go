@@ -1,6 +1,10 @@
 package trace
 
-import "hiddenhhh/internal/addr"
+import (
+	"slices"
+
+	"hiddenhhh/internal/addr"
+)
 
 // KeyBatch is the columnar (structure-of-arrays) batch the ingest data
 // path hands between the producer, the pipeline rings, and the engine
@@ -67,21 +71,53 @@ func (b *KeyBatch) Bytes() int64 {
 	return n
 }
 
-// AppendPackets packs every packet of pkts that matches h's address
-// family onto the batch: leaf key via h.Key(Src, 0), plus the Size and
-// Ts columns. Non-matching packets are skipped — this is the single
-// place the ingest family filter runs on the columnar path. It returns
-// the number of packets packed.
-func (b *KeyBatch) AppendPackets(h addr.Hierarchy, pkts []Packet) int {
+// Packer is the columnar path's packing rule for one hierarchy, with the
+// family test and the leaf mask hoisted out of the per-packet path.
+// Every packing site — AppendPackets, and the pipeline executors'
+// single-packet paths — packs through it, so the executors cannot
+// disagree on keys or on the family filter.
+type Packer struct {
+	v6   bool   // the hierarchy's family is IPv6: keys come from the high half
+	mask uint64 // the leaf level's key mask
+}
+
+// NewPacker returns h's packing rule.
+func NewPacker(h addr.Hierarchy) Packer {
+	return Packer{v6: h.KeyFromHigh(), mask: h.KeyMask(0)}
+}
+
+// Key returns src's leaf-level key, equal to h.Key(src, 0), with
+// ok=false for sources outside h's address family (h.Match), which
+// ingest skips.
+func (k Packer) Key(src addr.Addr) (key uint64, ok bool) {
+	if src.Is4() == k.v6 {
+		return 0, false
+	}
+	if k.v6 {
+		return src.Hi() & k.mask, true
+	}
+	return src.Lo() & k.mask, true
+}
+
+// AppendPackets packs every packet of pkts that passes pk's family filter
+// onto the batch, plus the Size and Ts columns, and returns the number
+// of packets packed. The columns are grown once for the whole run and
+// written by index.
+func (b *KeyBatch) AppendPackets(pk Packer, pkts []Packet) int {
 	n := len(b.Keys)
+	keys := slices.Grow(b.Keys, len(pkts))[:n+len(pkts)]
+	sizes := slices.Grow(b.Sizes, len(pkts))[:n+len(pkts)]
+	ts := slices.Grow(b.Ts, len(pkts))[:n+len(pkts)]
+	j := n
 	for i := range pkts {
 		p := &pkts[i]
-		if !h.Match(p.Src) {
+		key, ok := pk.Key(p.Src)
+		if !ok {
 			continue
 		}
-		b.Keys = append(b.Keys, h.Key(p.Src, 0))
-		b.Sizes = append(b.Sizes, p.Size)
-		b.Ts = append(b.Ts, p.Ts)
+		keys[j], sizes[j], ts[j] = key, p.Size, p.Ts
+		j++
 	}
-	return len(b.Keys) - n
+	b.Keys, b.Sizes, b.Ts = keys[:j], sizes[:j], ts[:j]
+	return j - n
 }

@@ -15,6 +15,7 @@ import (
 	"hiddenhhh/internal/sketch"
 	"hiddenhhh/internal/swhh"
 	"hiddenhhh/internal/tdbf"
+	"hiddenhhh/internal/trace"
 )
 
 // splitmix is a tiny deterministic stream for building test fixtures.
@@ -42,6 +43,12 @@ func addrFor(h addr.Hierarchy, r *splitmix) addr.Addr {
 	return addr.From4(byte(10+v%3), byte(v>>8), byte(v>>16), byte(v>>24&3))
 }
 
+// one packs a single in-family packet by the leaf-key rule: the unit the
+// engine fixtures are fed through UpdateKeys in.
+func one(h addr.Hierarchy, a addr.Addr, w, now int64) *trace.KeyBatch {
+	return &trace.KeyBatch{Keys: []uint64{h.Key(a, 0)}, Sizes: []uint32{uint32(w)}, Ts: []int64{now}}
+}
+
 // testAddr is the IPv4 shorthand used by the round-trip fixtures.
 func testAddr(r *splitmix) addr.Addr { return addrFor(testHierarchy(), r) }
 
@@ -67,7 +74,7 @@ func testPerLevelH(h addr.Hierarchy, seed uint64) *hhh.PerLevel {
 	p := hhh.NewPerLevel(h, 64)
 	r := splitmix(seed)
 	for i := 0; i < 400; i++ {
-		p.Update(addrFor(h, &r), int64(1+r.next()%9))
+		p.UpdateKeys(one(h, addrFor(h, &r), int64(1+r.next()%9), 0))
 	}
 	return p
 }
@@ -78,7 +85,7 @@ func testRHHHH(h addr.Hierarchy, seed uint64) *hhh.RHHH {
 	d := hhh.NewRHHH(h, 64, seed)
 	r := splitmix(seed)
 	for i := 0; i < 400; i++ {
-		d.Update(addrFor(h, &r), int64(1+r.next()%9))
+		d.UpdateKeys(one(h, addrFor(h, &r), int64(1+r.next()%9), 0))
 	}
 	return d
 }
@@ -98,7 +105,7 @@ func testSlidingH(h addr.Hierarchy, seed uint64) *swhh.SlidingHHH {
 	now := int64(0)
 	for i := 0; i < 400; i++ {
 		now += int64(r.next() % uint64(5*time.Millisecond))
-		d.Update(addrFor(h, &r), int64(1+r.next()%9), now)
+		d.UpdateKeys(one(h, addrFor(h, &r), int64(1+r.next()%9), now))
 	}
 	return d
 }
@@ -114,7 +121,7 @@ func testMementoH(h addr.Hierarchy, seed uint64) *swhh.MementoHHH {
 	now := int64(0)
 	for i := 0; i < 400; i++ {
 		now += int64(r.next() % uint64(5*time.Millisecond))
-		d.Update(addrFor(h, &r), int64(1+r.next()%9), now)
+		d.UpdateKeys(one(h, addrFor(h, &r), int64(1+r.next()%9), now))
 	}
 	return d
 }
@@ -150,7 +157,7 @@ func testContinuousH(t testing.TB, h addr.Hierarchy, seed uint64) *continuous.De
 	now := int64(0)
 	for i := 0; i < 2000; i++ {
 		now += int64(r.next() % uint64(2*time.Millisecond))
-		d.Observe(addrFor(h, &r), int64(1+r.next()%9), now)
+		d.UpdateKeys(one(h, addrFor(h, &r), int64(1+r.next()%9), now))
 	}
 	return d
 }
