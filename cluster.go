@@ -6,7 +6,7 @@
 // An aggregator process feeds frames from the whole fleet into an
 // Aggregator, which aligns them per window (windowed engines) or
 // latest-frame-per-node (sliding and continuous engines), merges them
-// through the same Merge contracts the in-process shards use, and
+// through the same Summary adapters the in-process shards run, and
 // publishes a global report. Late or missing nodes degrade the report's
 // declared coverage, never its correctness.
 

@@ -100,8 +100,6 @@ func (p *pusher) post(s hiddenhhh.SealedSummary) error {
 	req.Header.Set("X-HHH-Bytes", strconv.FormatInt(s.Bytes, 10))
 	req.Header.Set("X-HHH-Shards", strconv.Itoa(s.Shards))
 	req.Header.Set("X-HHH-Degraded", strconv.FormatBool(s.Degraded))
-	req.Header.Set("X-HHH-Mode", s.Mode)
-	req.Header.Set("X-HHH-Engine", s.Engine)
 	resp, err := p.client.Do(req)
 	if err != nil {
 		return err
@@ -212,8 +210,6 @@ func (s *aggServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	shards, _ := strconv.Atoi(r.Header.Get("X-HHH-Shards"))
 	sealed := hiddenhhh.SealedSummary{
-		Mode:     r.Header.Get("X-HHH-Mode"),
-		Engine:   r.Header.Get("X-HHH-Engine"),
 		Seq:      intHeader("X-HHH-Seq"),
 		Start:    intHeader("X-HHH-Start"),
 		End:      intHeader("X-HHH-End"),

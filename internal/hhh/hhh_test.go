@@ -478,7 +478,7 @@ func TestPerLevelNeverMissesLargeHHH(t *testing.T) {
 			total += 700
 		}
 	}
-	set := eng.QueryFraction(0.1)
+	set := eng.Query(Threshold(eng.Total(), 0.1))
 	found := false
 	for p := range set {
 		if p.Contains(heavy) && p.Bits > 96 {
@@ -527,7 +527,7 @@ func TestRHHHFindsHeavyPrefixes(t *testing.T) {
 	if eng.Total() != total || eng.Updates() != 300000 {
 		t.Fatal("bookkeeping wrong")
 	}
-	set := eng.QueryFraction(0.1)
+	set := eng.Query(Threshold(eng.Total(), 0.1))
 	found := false
 	for p := range set {
 		if p.FamilyBits() >= 24 && p.Contains(addr.From4Uint32(subnet)) {
@@ -556,7 +556,7 @@ func TestRHHHFindsHeavyPrefixesIPv6(t *testing.T) {
 		}
 		update(eng, a, 1000)
 	}
-	set := eng.QueryFraction(0.1)
+	set := eng.Query(Threshold(eng.Total(), 0.1))
 	found := false
 	for p := range set {
 		if p.Bits >= 48 && p.Covers(subnet) || subnet.Covers(p) {
@@ -601,7 +601,7 @@ func TestRHHHDeterministicUnderSeed(t *testing.T) {
 		for i := 0; i < 20000; i++ {
 			update(eng, addr.From4Uint32(rng.Uint32()>>8), 100)
 		}
-		return eng.QueryFraction(0.05)
+		return eng.Query(Threshold(eng.Total(), 0.05))
 	}
 	if !run(1).Equal(run(1)) {
 		t.Error("same seed should reproduce identical output")

@@ -101,12 +101,6 @@ func (p *PerLevel) Query(T int64) Set {
 	return queryLevels(p.h, p.sks, 1, T, p.qs)
 }
 
-// QueryFraction returns the HHH set at threshold phi of the observed
-// traffic volume.
-func (p *PerLevel) QueryFraction(phi float64) Set {
-	return p.Query(Threshold(p.total, phi))
-}
-
 // SizeBytes reports the state footprint: the exact per-level summary
 // sizes (entry nodes, count buckets, occupancy bitmap, key index).
 func (p *PerLevel) SizeBytes() int {

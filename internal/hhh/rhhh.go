@@ -124,12 +124,6 @@ func (r *RHHH) Query(T int64) Set {
 	return queryLevels(r.h, r.sks, int64(r.levels), T, r.qs)
 }
 
-// QueryFraction returns the HHH set at threshold phi of the observed
-// traffic volume.
-func (r *RHHH) QueryFraction(phi float64) Set {
-	return r.Query(Threshold(r.total, phi))
-}
-
 // SizeBytes reports the state footprint (see PerLevel.SizeBytes).
 func (r *RHHH) SizeBytes() int {
 	n := 0

@@ -2,11 +2,12 @@
 // accepts sealed wire frames from a fleet of ingest processes (each
 // running its own Sharded pipeline with Config.OnSeal set), aligns them
 // — per exact window for the windowed engines, latest-frame-per-node for
-// the sliding and continuous engines — merges them through the same
-// Merge contracts the in-process shards use, and publishes a global HHH
-// report. Late or missing nodes degrade the report's declared coverage
-// (Nodes < Expected, Degraded set), never its correctness: a published
-// set is always the true answer over the frames that arrived.
+// the sliding and continuous engines — wraps each decoded frame in the
+// Summary adapter the in-process shards run (summaryOf), merges through
+// it, and publishes a global HHH report. Late or missing nodes degrade
+// the report's declared coverage (Nodes < Expected, Degraded set), never
+// its correctness: a published set is always the true answer over the
+// frames that arrived.
 //
 // Alignment rules
 //
@@ -40,11 +41,8 @@ import (
 	"time"
 
 	"hiddenhhh/internal/hhh"
-	"hiddenhhh/internal/swhh"
 	"hiddenhhh/internal/telemetry"
 	"hiddenhhh/internal/wire"
-
-	"hiddenhhh/internal/continuous"
 )
 
 // ErrFrameRejected wraps every Aggregator.Ingest rejection that is the
@@ -59,8 +57,8 @@ type AggregatorConfig struct {
 	// degradation. Required.
 	Expected int
 	// Phi is the global threshold fraction applied to the merged
-	// summary. Required for every kind except continuous, whose decoded
-	// detectors carry their own phi.
+	// summary. Required for every kind; continuous frames still
+	// threshold at the phi sealed inside them.
 	Phi float64
 	// RoundGrace bounds how long a windowed round waits for stragglers
 	// after its first frame arrives; on expiry the round publishes
@@ -505,9 +503,10 @@ func framesOf(m map[string][]byte) [][]byte {
 	return out
 }
 
-// mergeFrames decodes and merges frames of the pinned kind, querying the
-// merged summary at `at`. Engine panics (geometry drift between nodes)
-// are recovered into errors. Caller holds a.mu.
+// mergeFrames decodes frames of the pinned kind, wraps each in its
+// Summary adapter, advances it to at, merges them and queries the
+// result at at. Engine panics (geometry drift between nodes) are
+// recovered into errors. Caller holds a.mu.
 func (a *Aggregator) mergeFrames(frames [][]byte, at int64) (set hhh.Set, total int64, err error) {
 	if len(frames) == 0 {
 		return hhh.NewSet(), 0, nil
@@ -518,94 +517,25 @@ func (a *Aggregator) mergeFrames(frames [][]byte, at int64) (set hhh.Set, total 
 			err = fmt.Errorf("merge panic: %v", r)
 		}
 	}()
-	switch a.kind {
-	case wire.KindPerLevel:
-		var acc *hhh.PerLevel
-		for _, f := range frames {
-			d, derr := wire.DecodePerLevel(f)
-			if derr != nil {
-				return nil, 0, derr
-			}
-			if acc == nil {
-				acc = d
-			} else {
-				acc.Merge(d)
-			}
+	var acc Summary
+	for _, f := range frames {
+		v, err := wire.Decode(f)
+		if err != nil {
+			return nil, 0, err
 		}
-		return acc.QueryFraction(a.cfg.Phi), acc.Total(), nil
-	case wire.KindRHHH:
-		var acc *hhh.RHHH
-		for _, f := range frames {
-			d, derr := wire.DecodeRHHH(f)
-			if derr != nil {
-				return nil, 0, derr
-			}
-			if acc == nil {
-				acc = d
-			} else {
-				acc.Merge(d)
-			}
+		s, err := summaryOf(v, a.cfg.Phi)
+		if err != nil {
+			return nil, 0, err
 		}
-		return acc.QueryFraction(a.cfg.Phi), acc.Total(), nil
-	case wire.KindExact:
-		ex, h, derr := wire.DecodeExact(frames[0])
-		if derr != nil {
-			return nil, 0, derr
+		s.Advance(at)
+		if acc == nil {
+			acc = s
+		} else {
+			acc.Merge(s)
 		}
-		for _, f := range frames[1:] {
-			d, _, derr := wire.DecodeExact(f)
-			if derr != nil {
-				return nil, 0, derr
-			}
-			ex.AddAll(d)
-		}
-		return hhh.Exact(ex, h, hhh.Threshold(ex.Total(), a.cfg.Phi)), ex.Total(), nil
-	case wire.KindSliding:
-		var acc *swhh.SlidingHHH
-		for _, f := range frames {
-			d, derr := wire.DecodeSliding(f)
-			if derr != nil {
-				return nil, 0, derr
-			}
-			d.Advance(at)
-			if acc == nil {
-				acc = d
-			} else {
-				acc.Merge(d)
-			}
-		}
-		return acc.Query(a.cfg.Phi, at), acc.WindowTotal(at), nil
-	case wire.KindMemento:
-		var acc *swhh.MementoHHH
-		for _, f := range frames {
-			d, derr := wire.DecodeMemento(f)
-			if derr != nil {
-				return nil, 0, derr
-			}
-			d.Advance(at)
-			if acc == nil {
-				acc = d
-			} else {
-				acc.Merge(d)
-			}
-		}
-		return acc.Query(a.cfg.Phi, at), acc.WindowTotal(at), nil
-	case wire.KindContinuous:
-		var acc *continuous.Detector
-		for _, f := range frames {
-			d, derr := wire.DecodeContinuous(f)
-			if derr != nil {
-				return nil, 0, derr
-			}
-			if acc == nil {
-				acc = d
-			} else {
-				acc.Merge(d)
-			}
-		}
-		return acc.Query(at), int64(acc.TotalMass(at)), nil
 	}
-	return nil, 0, fmt.Errorf("unmergeable kind %v", a.kind)
+	set, total = acc.Query(at)
+	return set, total, nil
 }
 
 // Report returns the newest published global report. Never nil.

@@ -35,8 +35,8 @@ func (c *sealCollector) all() []Sealed {
 }
 
 // TestSealEmission drives a windowed pipeline with OnSeal set and checks
-// the emitted frames: monotone sequence numbers, decodable payloads of
-// the right engine kind, and window spans matching the OnWindow stream.
+// the emitted frames: monotone sequence numbers, payloads that decode to
+// the configured engine, and window spans matching the OnWindow stream.
 func TestSealEmission(t *testing.T) {
 	var col sealCollector
 	var windows []int64
@@ -71,9 +71,6 @@ func TestSealEmission(t *testing.T) {
 	for i, s := range seals {
 		if s.Seq != int64(i+1) {
 			t.Fatalf("seal %d has Seq %d, want %d", i, s.Seq, i+1)
-		}
-		if s.Mode != "windowed" || s.Engine != "perlevel" {
-			t.Fatalf("seal %d labeled %s/%s", i, s.Mode, s.Engine)
 		}
 		if s.End != windows[i] || s.Start != windows[i]-width {
 			t.Fatalf("seal %d spans [%d,%d], window ended at %d", i, s.Start, s.End, windows[i])
@@ -206,6 +203,16 @@ func TestSealClusterMatchesSingle(t *testing.T) {
 	}
 }
 
+// frameOf seals an engine value with wire.Encode; every engine these
+// tests build is encodable, so an error is a bug in the test.
+func frameOf(v any) []byte {
+	f, err := wire.Encode(v)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
 // exactSeal builds a Sealed exact frame over a tiny fixed hierarchy for
 // direct aggregator tests.
 func exactSeal(seq, start, end int64, keys map[uint64]int64) Sealed {
@@ -215,7 +222,7 @@ func exactSeal(seq, start, end int64, keys map[uint64]int64) Sealed {
 	}
 	return Sealed{
 		Seq: seq, Start: start, End: end, Bytes: ex.Total(), Shards: 1,
-		Frame: wire.EncodeExact(cfgHierarchy(), ex),
+		Frame: frameOf(wire.ExactSummary{Hierarchy: cfgHierarchy(), Leaves: ex}),
 	}
 }
 
@@ -272,7 +279,7 @@ func TestAggregatorRejects(t *testing.T) {
 	}
 	// Kind drift: a per-level frame against an exact fleet.
 	pl := hhh.NewPerLevel(cfgHierarchy(), 8)
-	drift := Sealed{Seq: 2, End: int64(time.Second), Frame: wire.EncodePerLevel(pl)}
+	drift := Sealed{Seq: 2, End: int64(time.Second), Frame: frameOf(pl)}
 	if err := agg.Ingest("b", drift); !errors.Is(err, ErrFrameRejected) {
 		t.Fatalf("kind drift: %v", err)
 	}
@@ -280,7 +287,7 @@ func TestAggregatorRejects(t *testing.T) {
 	h16 := addr.NewIPv4Hierarchy(16)
 	ex := sketch.NewExact(1)
 	ex.Update(1, 5)
-	wrongH := Sealed{Seq: 3, End: int64(time.Second), Frame: wire.EncodeExact(h16, ex)}
+	wrongH := Sealed{Seq: 3, End: int64(time.Second), Frame: frameOf(wire.ExactSummary{Hierarchy: h16, Leaves: ex})}
 	err = agg.Ingest("b", wrongH)
 	if !errors.Is(err, ErrFrameRejected) || !errors.Is(err, wire.ErrHierarchyMismatch) {
 		t.Fatalf("hierarchy drift: %v", err)
@@ -318,7 +325,7 @@ func TestAggregatorSliding(t *testing.T) {
 		return d
 	}
 	seal := func(seq int64, d *swhh.SlidingHHH, end int64) Sealed {
-		return Sealed{Seq: seq, Start: end - int64(time.Second), End: end, Frame: wire.EncodeSliding(d)}
+		return Sealed{Seq: seq, Start: end - int64(time.Second), End: end, Frame: frameOf(d)}
 	}
 	agg, err := NewAggregator(AggregatorConfig{Expected: 2, Phi: 0.05})
 	if err != nil {

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"hiddenhhh/internal/trace"
+	"hiddenhhh/internal/wire"
 )
 
 // ErrStalled reports a Close that gave up waiting for stuck shard
@@ -419,7 +420,7 @@ func (d *Sharded) completeBarrier(b *barrier, joined []bool, count int) {
 		if !b.reset {
 			start, end = b.at-d.width, b.at
 		}
-		frame, err := encodeSummary(d.merged)
+		frame, err := wire.Encode(d.merged.engine())
 		if err == nil {
 			d.emitSeal(frame, start, end, total, count, degraded)
 		}

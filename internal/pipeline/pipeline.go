@@ -52,12 +52,9 @@ import (
 	"time"
 
 	"hiddenhhh/internal/addr"
-	"hiddenhhh/internal/continuous"
 	"hiddenhhh/internal/hashx"
 	"hiddenhhh/internal/hhh"
-	"hiddenhhh/internal/sketch"
 	"hiddenhhh/internal/swhh"
-	"hiddenhhh/internal/tdbf"
 	"hiddenhhh/internal/telemetry"
 	"hiddenhhh/internal/trace"
 )
@@ -134,32 +131,6 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
-}
-
-// Summary is the pluggable per-shard digest: any mergeable summary of a
-// packet substream can sit behind the pipeline's rings and barriers. All
-// methods are called from a single goroutine at a time (the shard's
-// worker, or — between barriers — the merging worker).
-type Summary interface {
-	// UpdateKeys absorbs a time-ordered columnar batch of pre-packed,
-	// family-filtered leaf keys (see trace.KeyBatch). The producer packs
-	// each key exactly once; summaries derive per-level keys by masking.
-	UpdateKeys(b *trace.KeyBatch)
-	// Advance aligns time-dependent state to now (expiring sliding
-	// frames) so that equally-advanced summaries merge frame-for-frame.
-	// Summaries without eager time state treat it as a no-op.
-	Advance(now int64)
-	// Merge folds o — a summary built from the same Config — into the
-	// receiver without modifying o.
-	Merge(o Summary)
-	// Query returns the HHH set at time now together with the total mass
-	// (the threshold denominator: window bytes, covered sliding bytes, or
-	// decayed mass).
-	Query(now int64) (hhh.Set, int64)
-	// Reset returns the summary to its empty state.
-	Reset()
-	// SizeBytes reports the summary's state footprint.
-	SizeBytes() int
 }
 
 // Config parameterises New.
@@ -348,203 +319,6 @@ func (c *Config) slidingConfig() swhh.Config {
 		Frames:   c.Frames,
 		Counters: c.Counters,
 	}
-}
-
-// newSummary builds one shard's summary for cfg.
-func newSummary(cfg *Config, shard int) (Summary, error) {
-	switch cfg.Mode {
-	case ModeSliding:
-		if cfg.Engine == KindMemento {
-			// Same per-shard seed derivation as KindRHHH below: shard 0
-			// keeps cfg.Seed so a 1-shard pipeline reproduces the
-			// single-detector level-sampling sequence exactly.
-			d, err := swhh.NewMementoHHH(cfg.Hierarchy, cfg.slidingConfig(),
-				cfg.Seed^(uint64(shard)*0x9e3779b97f4a7c15))
-			if err != nil {
-				return nil, err
-			}
-			return &mementoSummary{d: d, phi: cfg.Phi}, nil
-		}
-		d, err := swhh.NewSlidingHHH(cfg.Hierarchy, cfg.slidingConfig())
-		if err != nil {
-			return nil, err
-		}
-		return &slidingSummary{d: d, phi: cfg.Phi}, nil
-	case ModeContinuous:
-		d, err := continuous.NewDetector(continuous.Config{
-			Hierarchy: cfg.Hierarchy,
-			Phi:       cfg.Phi,
-			Filter: tdbf.Config{
-				Cells:  cfg.Cells,
-				Hashes: cfg.Hashes,
-				Decay:  tdbf.Exponential{Tau: cfg.Window},
-			},
-			ExitRatio: cfg.ExitRatio,
-			Sampled:   cfg.Sampled,
-			Seed:      cfg.Seed,
-			OnEnter:   cfg.OnEnter,
-			OnExit:    cfg.OnExit,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &continuousSummary{d: d}, nil
-	default:
-		e := &windowedSummary{h: cfg.Hierarchy, phi: cfg.Phi}
-		switch cfg.Engine {
-		case KindPerLevel:
-			e.pl = hhh.NewPerLevel(cfg.Hierarchy, cfg.Counters)
-		case KindRHHH:
-			// splitmix64 increments decorrelate the per-shard sampling
-			// streams; shard 0 keeps cfg.Seed for 1-shard reproducibility.
-			e.rh = hhh.NewRHHH(cfg.Hierarchy, cfg.Counters, cfg.Seed^(uint64(shard)*0x9e3779b97f4a7c15))
-		default:
-			e.ex = sketch.NewExact(1024)
-		}
-		return e, nil
-	}
-}
-
-// windowedSummary is one disjoint-window summary — exactly one of the
-// three engine fields is active, per Config.Engine. It carries no time
-// state: Advance is a no-op and Query ignores now, thresholding against
-// the accumulated window volume.
-type windowedSummary struct {
-	h   addr.Hierarchy
-	phi float64
-	pl  *hhh.PerLevel
-	rh  *hhh.RHHH
-	ex  *sketch.Exact
-}
-
-func (e *windowedSummary) UpdateKeys(b *trace.KeyBatch) {
-	switch {
-	case e.pl != nil:
-		e.pl.UpdateKeys(b)
-	case e.rh != nil:
-		e.rh.UpdateKeys(b)
-	default:
-		// Exact counts live at the leaf level only, so the packed key is
-		// the counter key verbatim — no masking, no Addr math.
-		for i, k := range b.Keys {
-			e.ex.Update(k, int64(b.Sizes[i]))
-		}
-	}
-}
-
-func (e *windowedSummary) Advance(int64) {}
-
-// Merge folds o into e. Summaries are built from one Config, so kinds and
-// shapes always match.
-func (e *windowedSummary) Merge(s Summary) {
-	o := s.(*windowedSummary)
-	switch {
-	case e.pl != nil:
-		e.pl.Merge(o.pl)
-	case e.rh != nil:
-		e.rh.Merge(o.rh)
-	default:
-		e.ex.AddAll(o.ex)
-	}
-}
-
-func (e *windowedSummary) total() int64 {
-	switch {
-	case e.pl != nil:
-		return e.pl.Total()
-	case e.rh != nil:
-		return e.rh.Total()
-	default:
-		return e.ex.Total()
-	}
-}
-
-func (e *windowedSummary) Query(int64) (hhh.Set, int64) {
-	total := e.total()
-	T := hhh.Threshold(total, e.phi)
-	switch {
-	case e.pl != nil:
-		return e.pl.Query(T), total
-	case e.rh != nil:
-		return e.rh.Query(T), total
-	default:
-		return hhh.Exact(e.ex, e.h, T), total
-	}
-}
-
-func (e *windowedSummary) Reset() {
-	switch {
-	case e.pl != nil:
-		e.pl.Reset()
-	case e.rh != nil:
-		e.rh.Reset()
-	default:
-		e.ex.Reset()
-	}
-}
-
-func (e *windowedSummary) SizeBytes() int {
-	switch {
-	case e.pl != nil:
-		return e.pl.SizeBytes()
-	case e.rh != nil:
-		return e.rh.SizeBytes()
-	default:
-		return e.ex.Len() * 16
-	}
-}
-
-// slidingSummary adapts the per-level WCSS sliding detector. Advance
-// aligns the frame rings at the query barrier so Merge is frame-by-frame.
-type slidingSummary struct {
-	d   *swhh.SlidingHHH
-	phi float64
-}
-
-func (e *slidingSummary) UpdateKeys(b *trace.KeyBatch) { e.d.UpdateKeys(b) }
-func (e *slidingSummary) Advance(now int64)            { e.d.Advance(now) }
-func (e *slidingSummary) Merge(s Summary)              { e.d.Merge(s.(*slidingSummary).d) }
-func (e *slidingSummary) Reset()                       { e.d.Reset() }
-func (e *slidingSummary) SizeBytes() int               { return e.d.SizeBytes() }
-
-func (e *slidingSummary) Query(now int64) (hhh.Set, int64) {
-	return e.d.Query(e.phi, now), e.d.WindowTotal(now)
-}
-
-// mementoSummary adapts the level-sampled Memento sliding detector. Like
-// slidingSummary, Advance aligns the frame clocks at the query barrier so
-// Merge is frame-by-frame; the reported mass comes from the wrapper's
-// exact totals ring, so accounting carries no sampling noise.
-type mementoSummary struct {
-	d   *swhh.MementoHHH
-	phi float64
-}
-
-func (e *mementoSummary) UpdateKeys(b *trace.KeyBatch) { e.d.UpdateKeys(b) }
-func (e *mementoSummary) Advance(now int64)            { e.d.Advance(now) }
-func (e *mementoSummary) Merge(s Summary)              { e.d.Merge(s.(*mementoSummary).d) }
-func (e *mementoSummary) Reset()                       { e.d.Reset() }
-func (e *mementoSummary) SizeBytes() int               { return e.d.SizeBytes() }
-
-func (e *mementoSummary) Query(now int64) (hhh.Set, int64) {
-	return e.d.Query(e.phi, now), e.d.WindowTotal(now)
-}
-
-// continuousSummary adapts the time-decaying Bloom filter detector. The
-// filters decay lazily, so Advance has nothing to do; Merge decays cell
-// pairs to a common time as it adds them.
-type continuousSummary struct {
-	d *continuous.Detector
-}
-
-func (e *continuousSummary) UpdateKeys(b *trace.KeyBatch) { e.d.UpdateKeys(b) }
-func (e *continuousSummary) Advance(int64)                {}
-func (e *continuousSummary) Merge(s Summary)              { e.d.Merge(s.(*continuousSummary).d) }
-func (e *continuousSummary) Reset()                       { e.d.Reset() }
-func (e *continuousSummary) SizeBytes() int               { return e.d.SizeBytes() }
-
-func (e *continuousSummary) Query(now int64) (hhh.Set, int64) {
-	return e.d.Query(now), int64(e.d.TotalMass(now))
 }
 
 // shard is one worker: a ring, a summary, and a key-batch freelist, plus

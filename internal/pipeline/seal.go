@@ -3,8 +3,9 @@
 // windowed mode, a snapshot barrier in the sliding and continuous modes
 // — is additionally encoded into a stable internal/wire frame and handed
 // to the callback, ready to ship to an aggregator node that merges
-// frames from many ingest processes via the same Merge contracts the
-// shards use locally.
+// frames from many ingest processes through the same Summary adapters
+// the shards use locally. The frame is wire.Encode of the merged
+// adapter's engine; its header Kind names the summary.
 
 package pipeline
 
@@ -21,11 +22,6 @@ import (
 // degradation verdict. The Frame bytes are shared (empty windows reuse
 // one cached frame) — treat as read-only.
 type Sealed struct {
-	// Mode is the pipeline's window model ("windowed", "sliding",
-	// "continuous").
-	Mode string
-	// Engine is the per-shard summary kind the pipeline runs.
-	Engine string
 	// Seq numbers this process's seals monotonically from 1; gaps at the
 	// receiver mean frames were lost in transit.
 	Seq int64
@@ -55,29 +51,6 @@ type sealState struct {
 	emptyFrame []byte
 }
 
-// encodeSummary seals any pipeline summary into its wire frame.
-func encodeSummary(s Summary) ([]byte, error) {
-	switch e := s.(type) {
-	case *windowedSummary:
-		switch {
-		case e.pl != nil:
-			return wire.EncodePerLevel(e.pl), nil
-		case e.rh != nil:
-			return wire.EncodeRHHH(e.rh), nil
-		default:
-			return wire.EncodeExact(e.h, e.ex), nil
-		}
-	case *slidingSummary:
-		return wire.EncodeSliding(e.d), nil
-	case *mementoSummary:
-		return wire.EncodeMemento(e.d), nil
-	case *continuousSummary:
-		return wire.EncodeContinuous(e.d)
-	default:
-		return wire.Encode(s)
-	}
-}
-
 // emptySealFrame returns the cached frame of a pristine summary, built
 // on first use. Empty windows are common under idle traffic; caching
 // keeps their fast path allocation-free after the first.
@@ -87,7 +60,7 @@ func (d *Sharded) emptySealFrame() []byte {
 		if err != nil {
 			return // New validated cfg already; unreachable
 		}
-		if frame, err := encodeSummary(eng); err == nil {
+		if frame, err := wire.Encode(eng.engine()); err == nil {
 			d.seal.emptyFrame = frame
 		}
 	})
@@ -103,8 +76,6 @@ func (d *Sharded) emitSeal(frame []byte, start, end, total int64, shards int, de
 		return // unserialisable summary; cluster mode documents the stock laws only
 	}
 	d.seal.fn(Sealed{
-		Mode:     d.cfg.Mode.String(),
-		Engine:   d.cfg.Engine.String(),
 		Seq:      d.seal.seq.Add(1),
 		Start:    start,
 		End:      end,

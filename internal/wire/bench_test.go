@@ -12,12 +12,12 @@ import (
 func BenchmarkWireEncodeDecode(b *testing.B) {
 	b.Run("space-saving", func(b *testing.B) {
 		s := testSpaceSaving(1, 300)
-		frame := EncodeSpaceSaving(s)
+		frame := encodeSpaceSaving(s)
 		b.SetBytes(int64(len(frame)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := DecodeSpaceSaving(EncodeSpaceSaving(s)); err != nil {
+			if _, err := Decode(encodeSpaceSaving(s)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -25,67 +25,67 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 	b.Run("exact", func(b *testing.B) {
 		h := testHierarchy()
 		e := testExact(2, 300)
-		frame := EncodeExact(h, e)
+		frame := encodeExact(h, e)
 		b.SetBytes(int64(len(frame)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := DecodeExact(EncodeExact(h, e)); err != nil {
+			if _, err := Decode(encodeExact(h, e)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("per-level", func(b *testing.B) {
 		p := testPerLevel(3)
-		frame := EncodePerLevel(p)
+		frame := encodePerLevel(p)
 		b.SetBytes(int64(len(frame)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := DecodePerLevel(EncodePerLevel(p)); err != nil {
+			if _, err := Decode(encodePerLevel(p)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("rhhh", func(b *testing.B) {
 		d := testRHHH(4)
-		frame := EncodeRHHH(d)
+		frame := encodeRHHH(d)
 		b.SetBytes(int64(len(frame)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := DecodeRHHH(EncodeRHHH(d)); err != nil {
+			if _, err := Decode(encodeRHHH(d)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("sliding", func(b *testing.B) {
 		d := testSliding(5)
-		frame := EncodeSliding(d)
+		frame := encodeSliding(d)
 		b.SetBytes(int64(len(frame)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := DecodeSliding(EncodeSliding(d)); err != nil {
+			if _, err := Decode(encodeSliding(d)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("memento", func(b *testing.B) {
 		d := testMemento(6)
-		frame := EncodeMemento(d)
+		frame := encodeMemento(d)
 		b.SetBytes(int64(len(frame)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := DecodeMemento(EncodeMemento(d)); err != nil {
+			if _, err := Decode(encodeMemento(d)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("tdbf", func(b *testing.B) {
 		f := testFilter(7)
-		frame, err := EncodeFilter(f)
+		frame, err := encodeFilter(f)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,18 +93,18 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			frame, err := EncodeFilter(f)
+			frame, err := encodeFilter(f)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := DecodeFilter(frame); err != nil {
+			if _, err := Decode(frame); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("continuous", func(b *testing.B) {
 		d := testContinuous(b, 8)
-		frame, err := EncodeContinuous(d)
+		frame, err := encodeContinuous(d)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,11 +112,11 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			frame, err := EncodeContinuous(d)
+			frame, err := encodeContinuous(d)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := DecodeContinuous(frame); err != nil {
+			if _, err := Decode(frame); err != nil {
 				b.Fatal(err)
 			}
 		}

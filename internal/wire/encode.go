@@ -33,21 +33,21 @@ func appendF64(b []byte, v float64) []byte {
 func Encode(v any) ([]byte, error) {
 	switch s := v.(type) {
 	case *sketch.SpaceSaving:
-		return EncodeSpaceSaving(s), nil
+		return encodeSpaceSaving(s), nil
 	case ExactSummary:
-		return EncodeExact(s.Hierarchy, s.Leaves), nil
+		return encodeExact(s.Hierarchy, s.Leaves), nil
 	case *hhh.PerLevel:
-		return EncodePerLevel(s), nil
+		return encodePerLevel(s), nil
 	case *hhh.RHHH:
-		return EncodeRHHH(s), nil
+		return encodeRHHH(s), nil
 	case *swhh.SlidingHHH:
-		return EncodeSliding(s), nil
+		return encodeSliding(s), nil
 	case *swhh.MementoHHH:
-		return EncodeMemento(s), nil
+		return encodeMemento(s), nil
 	case *tdbf.Filter:
-		return EncodeFilter(s)
+		return encodeFilter(s)
 	case *continuous.Detector:
-		return EncodeContinuous(s)
+		return encodeContinuous(s)
 	default:
 		return nil, fmt.Errorf("wire: cannot encode %T", v)
 	}
@@ -68,16 +68,16 @@ func appendSpaceSaving(b []byte, s *sketch.SpaceSaving) []byte {
 	return b
 }
 
-// EncodeSpaceSaving frames a bare Space-Saving summary (KindSpaceSaving,
+// encodeSpaceSaving frames a bare Space-Saving summary (KindSpaceSaving,
 // no hierarchy descriptor).
-func EncodeSpaceSaving(s *sketch.SpaceSaving) []byte {
+func encodeSpaceSaving(s *sketch.SpaceSaving) []byte {
 	return frameFor(KindSpaceSaving, 0, 0, 0, appendSpaceSaving(nil, s))
 }
 
-// EncodeExact frames an exact leaf-key map under hierarchy h
+// encodeExact frames an exact leaf-key map under hierarchy h
 // (KindExact). Entries are sorted by key so the encoding is
 // deterministic regardless of map iteration order.
-func EncodeExact(h addr.Hierarchy, ex *sketch.Exact) []byte {
+func encodeExact(h addr.Hierarchy, ex *sketch.Exact) []byte {
 	kvs := ex.Tracked()
 	slices.SortFunc(kvs, func(a, b sketch.KV) int {
 		switch {
@@ -97,8 +97,8 @@ func EncodeExact(h addr.Hierarchy, ex *sketch.Exact) []byte {
 	return frameFor(KindExact, fam, step, depth, payload)
 }
 
-// EncodePerLevel frames a PerLevel windowed HHH engine (KindPerLevel).
-func EncodePerLevel(p *hhh.PerLevel) []byte {
+// encodePerLevel frames a PerLevel windowed HHH engine (KindPerLevel).
+func encodePerLevel(p *hhh.PerLevel) []byte {
 	h := p.Hierarchy()
 	levels := h.Levels()
 	payload := appendI64(nil, p.Total())
@@ -110,10 +110,10 @@ func EncodePerLevel(p *hhh.PerLevel) []byte {
 	return frameFor(KindPerLevel, fam, step, depth, payload)
 }
 
-// EncodeRHHH frames an RHHH windowed HHH engine (KindRHHH), including
+// encodeRHHH frames an RHHH windowed HHH engine (KindRHHH), including
 // the level-sampler state so a restored engine could keep ingesting
 // deterministically.
-func EncodeRHHH(r *hhh.RHHH) []byte {
+func encodeRHHH(r *hhh.RHHH) []byte {
 	h := r.Hierarchy()
 	levels := h.Levels()
 	payload := appendI64(nil, r.Total())
@@ -127,10 +127,10 @@ func EncodeRHHH(r *hhh.RHHH) []byte {
 	return frameFor(KindRHHH, fam, step, depth, payload)
 }
 
-// EncodeSliding frames a WCSS sliding HHH engine (KindSliding): the
+// encodeSliding frames a WCSS sliding HHH engine (KindSliding): the
 // shared frame geometry, then per level the frame clock and the ring of
 // (exact frame total, frame summary) pairs in slot order.
-func EncodeSliding(d *swhh.SlidingHHH) []byte {
+func encodeSliding(d *swhh.SlidingHHH) []byte {
 	h := d.Hierarchy()
 	cfg := d.Config()
 	levels := h.Levels()
@@ -150,11 +150,11 @@ func EncodeSliding(d *swhh.SlidingHHH) []byte {
 	return frameFor(KindSliding, fam, step, depth, payload)
 }
 
-// EncodeMemento frames a level-sampled Memento sliding HHH engine
+// encodeMemento frames a level-sampled Memento sliding HHH engine
 // (KindMemento): the shared geometry and sampler, the wrapper's exact
 // totals ring, then per level the aged table columns and frame-cell
 // matrix.
-func EncodeMemento(d *swhh.MementoHHH) []byte {
+func encodeMemento(d *swhh.MementoHHH) []byte {
 	h := d.Hierarchy()
 	cfg := d.Config()
 	st := d.State()
@@ -209,10 +209,10 @@ const (
 	decayLeaky       = 2 // param: drain rate as float64 per second
 )
 
-// EncodeFilter frames a bare time-decaying Bloom filter (KindFilter, no
+// encodeFilter frames a bare time-decaying Bloom filter (KindFilter, no
 // hierarchy descriptor). Returns an error for decay laws outside the
 // two stock ones, which have no wire representation.
-func EncodeFilter(f *tdbf.Filter) ([]byte, error) {
+func encodeFilter(f *tdbf.Filter) ([]byte, error) {
 	payload, err := appendDecay(nil, f.Decay())
 	if err != nil {
 		return nil, err
@@ -229,11 +229,11 @@ func EncodeFilter(f *tdbf.Filter) ([]byte, error) {
 	return frameFor(KindFilter, 0, 0, 0, payload), nil
 }
 
-// EncodeContinuous frames a continuous detector (KindContinuous): its
+// encodeContinuous frames a continuous detector (KindContinuous): its
 // full configuration (so the receiver rebuilds an identically derived
 // detector), the warmup anchor and mass tracker, the active set sorted
 // by (level, key) for determinism, then the per-level filter columns.
-func EncodeContinuous(d *continuous.Detector) ([]byte, error) {
+func encodeContinuous(d *continuous.Detector) ([]byte, error) {
 	cfg := d.Config()
 	h := cfg.Hierarchy
 	st := d.State()

@@ -11,22 +11,22 @@ import (
 // fuzzSeeds returns one valid frame per summary kind plus the classic
 // envelope corruptions, the corpus every wire fuzz target starts from.
 func fuzzSeeds(f *testing.F) [][]byte {
-	filterFrame, err := EncodeFilter(testFilter(7))
+	filterFrame, err := encodeFilter(testFilter(7))
 	if err != nil {
 		f.Fatal(err)
 	}
-	contFrame, err := EncodeContinuous(testContinuous(f, 8))
+	contFrame, err := encodeContinuous(testContinuous(f, 8))
 	if err != nil {
 		f.Fatal(err)
 	}
 	seeds := [][]byte{
-		EncodeSpaceSaving(testSpaceSaving(1, 100)),
-		EncodeExact(testHierarchy(), testExact(2, 100)),
-		EncodeExact(testHierarchyV6(), testExact(2, 100)),
-		EncodePerLevel(testPerLevel(3)),
-		EncodeRHHH(testRHHH(4)),
-		EncodeSliding(testSliding(5)),
-		EncodeMemento(testMemento(6)),
+		encodeSpaceSaving(testSpaceSaving(1, 100)),
+		encodeExact(testHierarchy(), testExact(2, 100)),
+		encodeExact(testHierarchyV6(), testExact(2, 100)),
+		encodePerLevel(testPerLevel(3)),
+		encodeRHHH(testRHHH(4)),
+		encodeSliding(testSliding(5)),
+		encodeMemento(testMemento(6)),
 		filterFrame,
 		contFrame,
 	}

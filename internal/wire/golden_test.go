@@ -24,15 +24,15 @@ func goldenFixtures(t *testing.T) []struct {
 	frame []byte
 } {
 	v4, v6 := testHierarchy(), testHierarchyV6()
-	filterFrame, err := EncodeFilter(testFilter(0x70))
+	filterFrame, err := encodeFilter(testFilter(0x70))
 	if err != nil {
 		t.Fatalf("encode filter: %v", err)
 	}
-	contV4, err := EncodeContinuous(testContinuousH(t, v4, 0x80))
+	contV4, err := encodeContinuous(testContinuousH(t, v4, 0x80))
 	if err != nil {
 		t.Fatalf("encode continuous v4: %v", err)
 	}
-	contV6, err := EncodeContinuous(testContinuousH(t, v6, 0x81))
+	contV6, err := encodeContinuous(testContinuousH(t, v6, 0x81))
 	if err != nil {
 		t.Fatalf("encode continuous v6: %v", err)
 	}
@@ -40,17 +40,17 @@ func goldenFixtures(t *testing.T) []struct {
 		name  string
 		frame []byte
 	}{
-		{"space-saving", EncodeSpaceSaving(testSpaceSaving(0x10, 300))},
-		{"exact-v4", EncodeExact(v4, testExact(0x20, 300))},
-		{"exact-v6", EncodeExact(v6, testExact(0x21, 300))},
-		{"per-level-v4", EncodePerLevel(testPerLevelH(v4, 0x30))},
-		{"per-level-v6", EncodePerLevel(testPerLevelH(v6, 0x31))},
-		{"rhhh-v4", EncodeRHHH(testRHHHH(v4, 0x40))},
-		{"rhhh-v6", EncodeRHHH(testRHHHH(v6, 0x41))},
-		{"sliding-v4", EncodeSliding(testSlidingH(v4, 0x50))},
-		{"sliding-v6", EncodeSliding(testSlidingH(v6, 0x51))},
-		{"memento-v4", EncodeMemento(testMementoH(v4, 0x60))},
-		{"memento-v6", EncodeMemento(testMementoH(v6, 0x61))},
+		{"space-saving", encodeSpaceSaving(testSpaceSaving(0x10, 300))},
+		{"exact-v4", encodeExact(v4, testExact(0x20, 300))},
+		{"exact-v6", encodeExact(v6, testExact(0x21, 300))},
+		{"per-level-v4", encodePerLevel(testPerLevelH(v4, 0x30))},
+		{"per-level-v6", encodePerLevel(testPerLevelH(v6, 0x31))},
+		{"rhhh-v4", encodeRHHH(testRHHHH(v4, 0x40))},
+		{"rhhh-v6", encodeRHHH(testRHHHH(v6, 0x41))},
+		{"sliding-v4", encodeSliding(testSlidingH(v4, 0x50))},
+		{"sliding-v6", encodeSliding(testSlidingH(v6, 0x51))},
+		{"memento-v4", encodeMemento(testMementoH(v4, 0x60))},
+		{"memento-v6", encodeMemento(testMementoH(v6, 0x61))},
 		{"tdbf", filterFrame},
 		{"continuous-v4", contV4},
 		{"continuous-v6", contV6},

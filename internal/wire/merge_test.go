@@ -64,9 +64,9 @@ func mergeEquivalence[T any](
 	}
 }
 
-func mustDecode[T any](t *testing.T, f func([]byte) (T, error)) func([]byte) T {
+func mustDecode[T any](t *testing.T) func([]byte) T {
 	return func(frame []byte) T {
-		v, err := f(frame)
+		v, err := decodeAs[T](frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -78,26 +78,23 @@ func TestMergeEquivalence(t *testing.T) {
 	t.Run("space-saving", func(t *testing.T) {
 		mergeEquivalence(t,
 			func(seed uint64) *sketch.SpaceSaving { return testSpaceSaving(seed, 300) },
-			EncodeSpaceSaving,
+			encodeSpaceSaving,
 			func(dst, src *sketch.SpaceSaving) { dst.Merge(src) },
-			mustDecode(t, DecodeSpaceSaving),
+			mustDecode[*sketch.SpaceSaving](t),
 		)
 	})
 	t.Run("exact", func(t *testing.T) {
 		h := testHierarchy()
 		mergeEquivalence(t,
 			func(seed uint64) *sketch.Exact { return testExact(seed, 300) },
-			func(e *sketch.Exact) []byte { return EncodeExact(h, e) },
+			func(e *sketch.Exact) []byte { return encodeExact(h, e) },
 			func(dst, src *sketch.Exact) { dst.AddAll(src) },
 			func(frame []byte) *sketch.Exact {
-				e, gh, err := DecodeExact(frame)
-				if err != nil {
-					t.Fatalf("decode: %v", err)
+				ex := mustDecode[ExactSummary](t)(frame)
+				if ex.Hierarchy != h {
+					t.Fatalf("hierarchy %v != %v", ex.Hierarchy, h)
 				}
-				if gh != h {
-					t.Fatalf("hierarchy %v != %v", gh, h)
-				}
-				return e
+				return ex.Leaves
 			},
 		)
 	})
@@ -110,33 +107,33 @@ func TestMergeEquivalence(t *testing.T) {
 		t.Run("per-level-"+name, func(t *testing.T) {
 			mergeEquivalence(t,
 				func(seed uint64) *hhh.PerLevel { return testPerLevelH(h, seed) },
-				EncodePerLevel,
+				encodePerLevel,
 				func(dst, src *hhh.PerLevel) { dst.Merge(src) },
-				mustDecode(t, DecodePerLevel),
+				mustDecode[*hhh.PerLevel](t),
 			)
 		})
 		t.Run("rhhh-"+name, func(t *testing.T) {
 			mergeEquivalence(t,
 				func(seed uint64) *hhh.RHHH { return testRHHHH(h, seed) },
-				EncodeRHHH,
+				encodeRHHH,
 				func(dst, src *hhh.RHHH) { dst.Merge(src) },
-				mustDecode(t, DecodeRHHH),
+				mustDecode[*hhh.RHHH](t),
 			)
 		})
 		t.Run("sliding-"+name, func(t *testing.T) {
 			mergeEquivalence(t,
 				func(seed uint64) *swhh.SlidingHHH { return testSlidingH(h, seed) },
-				EncodeSliding,
+				encodeSliding,
 				func(dst, src *swhh.SlidingHHH) { dst.Merge(src) },
-				mustDecode(t, DecodeSliding),
+				mustDecode[*swhh.SlidingHHH](t),
 			)
 		})
 		t.Run("memento-"+name, func(t *testing.T) {
 			mergeEquivalence(t,
 				func(seed uint64) *swhh.MementoHHH { return testMementoH(h, seed) },
-				EncodeMemento,
+				encodeMemento,
 				func(dst, src *swhh.MementoHHH) { dst.Merge(src) },
-				mustDecode(t, DecodeMemento),
+				mustDecode[*swhh.MementoHHH](t),
 			)
 		})
 		t.Run("continuous-"+name, func(t *testing.T) {
@@ -157,14 +154,14 @@ func TestMergeEquivalence(t *testing.T) {
 					return d
 				},
 				func(d *continuous.Detector) []byte {
-					frame, err := EncodeContinuous(d)
+					frame, err := encodeContinuous(d)
 					if err != nil {
 						t.Fatalf("encode: %v", err)
 					}
 					return frame
 				},
 				func(dst, src *continuous.Detector) { dst.Merge(src) },
-				mustDecode(t, DecodeContinuous),
+				mustDecode[*continuous.Detector](t),
 			)
 		})
 	}
@@ -181,14 +178,14 @@ func TestMergeEquivalence(t *testing.T) {
 				return f
 			},
 			func(f *tdbf.Filter) []byte {
-				frame, err := EncodeFilter(f)
+				frame, err := encodeFilter(f)
 				if err != nil {
 					t.Fatalf("encode: %v", err)
 				}
 				return frame
 			},
 			func(dst, src *tdbf.Filter) { dst.Merge(src) },
-			mustDecode(t, DecodeFilter),
+			mustDecode[*tdbf.Filter](t),
 		)
 	})
 }
@@ -211,12 +208,12 @@ func TestMergedQueryMatchesUnsharded(t *testing.T) {
 		whole.UpdateKeys(one(h, a, w, 0))
 		shards[(a.Lo()^a.Hi())%mergeShards].UpdateKeys(one(h, a, w, 0))
 	}
-	merged := mustDecode(t, DecodePerLevel)(EncodePerLevel(shards[0]))
+	merged := mustDecode[*hhh.PerLevel](t)(encodePerLevel(shards[0]))
 	for _, s := range shards[1:] {
-		merged.Merge(mustDecode(t, DecodePerLevel)(EncodePerLevel(s)))
+		merged.Merge(mustDecode[*hhh.PerLevel](t)(encodePerLevel(s)))
 	}
-	want := whole.QueryFraction(0.05)
-	got := merged.QueryFraction(0.05)
+	want := whole.Query(hhh.Threshold(whole.Total(), 0.05))
+	got := merged.Query(hhh.Threshold(merged.Total(), 0.05))
 	for _, p := range want.Prefixes() {
 		if _, ok := got[p]; !ok {
 			t.Fatalf("prefix %v reported unsharded but missing after wire-merged shards", p)

@@ -4,8 +4,13 @@
 // Memento sliding engines, time-decaying Bloom filters, and the
 // continuous detector. It is the cluster mode's interchange format —
 // ingest nodes seal merged shard summaries into frames and ship them to
-// an aggregator, which restores them and merges via the existing Merge
-// contracts.
+// an aggregator, which restores them and merges them through the same
+// pipeline.Summary adapters the shards run.
+//
+// The API is one pair plus a header check: Encode frames any summary,
+// dispatching on its type; Decode returns the summary a frame carries
+// as one of those types, which callers type-assert; Inspect verifies
+// the envelope and returns the Header without decoding the payload.
 //
 // # Frame layout (version 1)
 //

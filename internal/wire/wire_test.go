@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"slices"
@@ -169,13 +170,28 @@ func testContinuous(t testing.TB, seed uint64) *continuous.Detector {
 // queryNow is a fixed instant safely past the fixtures' last update.
 const queryNow = int64(10 * time.Second)
 
+// decodeAs decodes frame with Decode and asserts the summary type, the
+// way callers outside the package consume the codec.
+func decodeAs[T any](frame []byte) (T, error) {
+	var zero T
+	v, err := Decode(frame)
+	if err != nil {
+		return zero, err
+	}
+	s, ok := v.(T)
+	if !ok {
+		return zero, fmt.Errorf("%w: decoded %T, want %T", ErrKind, v, zero)
+	}
+	return s, nil
+}
+
 // TestRoundTrip encodes every kind, decodes it back, and demands both
 // byte-identical re-encoding and identical query results.
 func TestRoundTrip(t *testing.T) {
 	t.Run("space-saving", func(t *testing.T) {
 		s := testSpaceSaving(1, 300)
-		frame := EncodeSpaceSaving(s)
-		got, err := DecodeSpaceSaving(frame)
+		frame := encodeSpaceSaving(s)
+		got, err := decodeAs[*sketch.SpaceSaving](frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -183,67 +199,68 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("restored shape (%d,%d,%d) != original (%d,%d,%d)",
 				got.Total(), got.Len(), got.Capacity(), s.Total(), s.Len(), s.Capacity())
 		}
-		if re := EncodeSpaceSaving(got); !slices.Equal(re, frame) {
+		if re := encodeSpaceSaving(got); !slices.Equal(re, frame) {
 			t.Fatal("re-encode is not byte-identical")
 		}
 	})
 	t.Run("exact", func(t *testing.T) {
 		h := testHierarchy()
 		e := testExact(2, 300)
-		frame := EncodeExact(h, e)
-		got, gh, err := DecodeExact(frame)
+		frame := encodeExact(h, e)
+		ex, err := decodeAs[ExactSummary](frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if gh != h {
-			t.Fatalf("hierarchy %v != %v", gh, h)
+		got := ex.Leaves
+		if ex.Hierarchy != h {
+			t.Fatalf("hierarchy %v != %v", ex.Hierarchy, h)
 		}
 		if got.Total() != e.Total() || got.Len() != e.Len() {
 			t.Fatalf("restored (%d keys, total %d) != original (%d, %d)",
 				got.Len(), got.Total(), e.Len(), e.Total())
 		}
-		if re := EncodeExact(h, got); !slices.Equal(re, frame) {
+		if re := encodeExact(h, got); !slices.Equal(re, frame) {
 			t.Fatal("re-encode is not byte-identical")
 		}
 	})
 	t.Run("per-level", func(t *testing.T) {
 		p := testPerLevel(3)
-		frame := EncodePerLevel(p)
-		got, err := DecodePerLevel(frame)
+		frame := encodePerLevel(p)
+		got, err := decodeAs[*hhh.PerLevel](frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if !got.QueryFraction(0.05).Equal(p.QueryFraction(0.05)) {
+		if !got.Query(hhh.Threshold(got.Total(), 0.05)).Equal(p.Query(hhh.Threshold(p.Total(), 0.05))) {
 			t.Fatal("restored query differs from original")
 		}
-		if re := EncodePerLevel(got); !slices.Equal(re, frame) {
+		if re := encodePerLevel(got); !slices.Equal(re, frame) {
 			t.Fatal("re-encode is not byte-identical")
 		}
 	})
 	t.Run("rhhh", func(t *testing.T) {
 		d := testRHHH(4)
-		frame := EncodeRHHH(d)
-		got, err := DecodeRHHH(frame)
+		frame := encodeRHHH(d)
+		got, err := decodeAs[*hhh.RHHH](frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if !got.QueryFraction(0.05).Equal(d.QueryFraction(0.05)) {
+		if !got.Query(hhh.Threshold(got.Total(), 0.05)).Equal(d.Query(hhh.Threshold(d.Total(), 0.05))) {
 			t.Fatal("restored query differs from original")
 		}
-		if re := EncodeRHHH(got); !slices.Equal(re, frame) {
+		if re := encodeRHHH(got); !slices.Equal(re, frame) {
 			t.Fatal("re-encode is not byte-identical")
 		}
 	})
 	t.Run("sliding", func(t *testing.T) {
 		d := testSliding(5)
-		frame := EncodeSliding(d)
-		got, err := DecodeSliding(frame)
+		frame := encodeSliding(d)
+		got, err := decodeAs[*swhh.SlidingHHH](frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
 		// Byte-identity first: Query advances the frame clock, mutating
 		// both engines past the encoded instant.
-		if re := EncodeSliding(got); !slices.Equal(re, frame) {
+		if re := encodeSliding(got); !slices.Equal(re, frame) {
 			t.Fatal("re-encode is not byte-identical")
 		}
 		if !got.Query(0.05, queryNow).Equal(d.Query(0.05, queryNow)) {
@@ -252,12 +269,12 @@ func TestRoundTrip(t *testing.T) {
 	})
 	t.Run("memento", func(t *testing.T) {
 		d := testMemento(6)
-		frame := EncodeMemento(d)
-		got, err := DecodeMemento(frame)
+		frame := encodeMemento(d)
+		got, err := decodeAs[*swhh.MementoHHH](frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if re := EncodeMemento(got); !slices.Equal(re, frame) {
+		if re := encodeMemento(got); !slices.Equal(re, frame) {
 			t.Fatal("re-encode is not byte-identical")
 		}
 		if !got.Query(0.05, queryNow).Equal(d.Query(0.05, queryNow)) {
@@ -266,11 +283,11 @@ func TestRoundTrip(t *testing.T) {
 	})
 	t.Run("tdbf", func(t *testing.T) {
 		f := testFilter(7)
-		frame, err := EncodeFilter(f)
+		frame, err := encodeFilter(f)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		got, err := DecodeFilter(frame)
+		got, err := decodeAs[*tdbf.Filter](frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -281,7 +298,7 @@ func TestRoundTrip(t *testing.T) {
 				t.Fatalf("estimate(%d) %v != %v", k, a, b)
 			}
 		}
-		re, err := EncodeFilter(got)
+		re, err := encodeFilter(got)
 		if err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
@@ -291,18 +308,18 @@ func TestRoundTrip(t *testing.T) {
 	})
 	t.Run("continuous", func(t *testing.T) {
 		d := testContinuous(t, 8)
-		frame, err := EncodeContinuous(d)
+		frame, err := encodeContinuous(d)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		got, err := DecodeContinuous(frame)
+		got, err := decodeAs[*continuous.Detector](frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
 		if !got.Query(queryNow).Equal(d.Query(queryNow)) {
 			t.Fatal("restored query differs from original")
 		}
-		re, err := EncodeContinuous(got)
+		re, err := encodeContinuous(got)
 		if err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
@@ -315,11 +332,11 @@ func TestRoundTrip(t *testing.T) {
 // TestDecodeDispatch checks the generic Decode returns the right
 // dynamic type for every kind.
 func TestDecodeDispatch(t *testing.T) {
-	filterFrame, err := EncodeFilter(testFilter(7))
+	filterFrame, err := encodeFilter(testFilter(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	contFrame, err := EncodeContinuous(testContinuous(t, 8))
+	contFrame, err := encodeContinuous(testContinuous(t, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,12 +344,12 @@ func TestDecodeDispatch(t *testing.T) {
 		frame []byte
 		want  Kind
 	}{
-		{EncodeSpaceSaving(testSpaceSaving(1, 100)), KindSpaceSaving},
-		{EncodeExact(testHierarchy(), testExact(2, 100)), KindExact},
-		{EncodePerLevel(testPerLevel(3)), KindPerLevel},
-		{EncodeRHHH(testRHHH(4)), KindRHHH},
-		{EncodeSliding(testSliding(5)), KindSliding},
-		{EncodeMemento(testMemento(6)), KindMemento},
+		{encodeSpaceSaving(testSpaceSaving(1, 100)), KindSpaceSaving},
+		{encodeExact(testHierarchy(), testExact(2, 100)), KindExact},
+		{encodePerLevel(testPerLevel(3)), KindPerLevel},
+		{encodeRHHH(testRHHH(4)), KindRHHH},
+		{encodeSliding(testSliding(5)), KindSliding},
+		{encodeMemento(testMemento(6)), KindMemento},
 		{filterFrame, KindFilter},
 		{contFrame, KindContinuous},
 	}
@@ -386,7 +403,7 @@ func mangle(frame []byte, f func([]byte)) []byte {
 // TestTypedErrors is the envelope rejection matrix: every malformed
 // frame maps to exactly the documented typed error, and none panic.
 func TestTypedErrors(t *testing.T) {
-	good := EncodePerLevel(testPerLevel(3))
+	good := encodePerLevel(testPerLevel(3))
 	cases := []struct {
 		name  string
 		frame []byte
@@ -420,9 +437,13 @@ func TestTypedErrors(t *testing.T) {
 		})
 	}
 
+	// A valid kind byte over another kind's payload: the header alone
+	// picks the decoded type, so the payload must fail that kind's
+	// structural checks rather than decode as the wrong summary.
 	t.Run("kind-mismatch", func(t *testing.T) {
-		if _, err := DecodeRHHH(good); !errors.Is(err, ErrKind) {
-			t.Fatalf("DecodeRHHH(per-level frame) = %v, want ErrKind", err)
+		relabeled := mangle(good, func(b []byte) { b[6] = byte(KindRHHH) })
+		if v, err := Decode(relabeled); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Decode(per-level payload labeled rhhh) = %T, %v; want ErrCorrupt", v, err)
 		}
 	})
 }
