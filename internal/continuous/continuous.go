@@ -22,6 +22,7 @@ package continuous
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hiddenhhh/internal/addr"
@@ -85,40 +86,61 @@ type Detector struct {
 
 // NewDetector validates cfg and builds a detector.
 func NewDetector(cfg Config) (*Detector, error) {
-	if cfg.Phi <= 0 || cfg.Phi > 1 {
-		return nil, fmt.Errorf("continuous: Phi %v out of (0,1]", cfg.Phi)
+	if err := cfg.setDefaults(); err != nil {
+		return nil, err
 	}
-	if cfg.Filter.Decay == nil {
-		return nil, fmt.Errorf("continuous: Filter.Decay is required")
+	filters := make([]*tdbf.Filter, cfg.Hierarchy.Levels())
+	for l := range filters {
+		filters[l] = tdbf.New(cfg.levelFilter(l))
 	}
-	if cfg.ExitRatio == 0 {
-		cfg.ExitRatio = 0.9
+	return newDetector(cfg, filters, tdbf.NewMassTracker(cfg.Filter.Decay)), nil
+}
+
+// setDefaults validates c and fills in the ExitRatio and Warmup defaults.
+func (c *Config) setDefaults() error {
+	if c.Phi <= 0 || c.Phi > 1 {
+		return fmt.Errorf("continuous: Phi %v out of (0,1]", c.Phi)
 	}
-	if cfg.ExitRatio < 0 || cfg.ExitRatio > 1 {
-		return nil, fmt.Errorf("continuous: ExitRatio %v out of (0,1]", cfg.ExitRatio)
+	if c.Filter.Decay == nil {
+		return fmt.Errorf("continuous: Filter.Decay is required")
 	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = cfg.Filter.Decay.Horizon()
+	if c.ExitRatio == 0 {
+		c.ExitRatio = 0.9
 	}
+	if c.ExitRatio < 0 || c.ExitRatio > 1 {
+		return fmt.Errorf("continuous: ExitRatio %v out of (0,1]", c.ExitRatio)
+	}
+	if c.Warmup == 0 {
+		c.Warmup = c.Filter.Decay.Horizon()
+	}
+	return nil
+}
+
+// levelFilter is the filter configuration of hierarchy level l: the
+// shared shape and decay law under a per-level seed derived from Seed.
+func (c *Config) levelFilter(l int) tdbf.Config {
+	fc := c.Filter
+	fc.Seed = hashx.Mix64(c.Seed + uint64(l) + 1)
+	return fc
+}
+
+// newDetector assembles a detector for a defaulted cfg around adopted
+// per-level filters and total-mass tracker.
+func newDetector(cfg Config, filters []*tdbf.Filter, total *tdbf.MassTracker) *Detector {
 	d := &Detector{
-		cfg:    cfg,
-		levels: cfg.Hierarchy.Levels(),
-		total:  tdbf.NewMassTracker(cfg.Filter.Decay),
-		active: make(map[addr.Prefix]int64),
-		rng:    hashx.Mix64(cfg.Seed ^ 0x6a09e667f3bcc909),
+		cfg:     cfg,
+		levels:  len(filters),
+		filters: filters,
+		total:   total,
+		active:  make(map[addr.Prefix]int64),
+		anc:     make([]addr.Prefix, 0, len(filters)),
+		masks:   make([]uint64, len(filters)),
+		rng:     hashx.Mix64(cfg.Seed ^ 0x6a09e667f3bcc909),
 	}
-	d.filters = make([]*tdbf.Filter, d.levels)
-	for l := range d.filters {
-		fc := cfg.Filter
-		fc.Seed = hashx.Mix64(cfg.Seed + uint64(l) + 1)
-		d.filters[l] = tdbf.New(fc)
-	}
-	d.anc = make([]addr.Prefix, 0, d.levels)
-	d.masks = make([]uint64, d.levels)
 	for l := range d.masks {
 		d.masks[l] = cfg.Hierarchy.KeyMask(l)
 	}
-	return d, nil
+	return d
 }
 
 // scale is the estimate multiplier: level count under sampling, 1 otherwise.
@@ -356,6 +378,36 @@ func (d *Detector) Merge(o *Detector) {
 		d.warmEnd = o.warmEnd
 	}
 	d.pkts += o.pkts
+}
+
+// CopyFrom makes d an exact copy of o — filters, total-mass tracker,
+// active set, warmup anchor, packet count and sampler — reusing d's
+// storage. A zero Detector is a valid receiver.
+func (d *Detector) CopyFrom(o *Detector) {
+	filters, total, active, anc, masks := d.filters, d.total, d.active, d.anc, d.masks
+	*d = *o
+	d.filters = slices.Grow(filters[:0], len(o.filters))[:len(o.filters)]
+	for l, f := range o.filters {
+		if d.filters[l] == nil {
+			d.filters[l] = new(tdbf.Filter)
+		}
+		d.filters[l].CopyFrom(f)
+	}
+	if total == nil {
+		total = new(tdbf.MassTracker)
+	}
+	total.CopyFrom(o.total)
+	d.total = total
+	if active == nil {
+		active = make(map[addr.Prefix]int64, len(o.active))
+	}
+	clear(active)
+	for p, at := range o.active {
+		active[p] = at
+	}
+	d.active = active
+	d.anc = slices.Grow(anc[:0], o.levels)
+	d.masks = append(masks[:0], o.masks...)
 }
 
 // ActiveLen returns the size of the active set without revalidation.

@@ -3,6 +3,7 @@ package continuous
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -450,6 +451,52 @@ func TestWarmupAnchorsAtFirstPacket(t *testing.T) {
 	for _, at := range enterTimes {
 		if at < epoch+int64(5*time.Second) {
 			t.Fatalf("detection %v into the trace, during warmup", time.Duration(at-epoch))
+		}
+	}
+}
+
+// TestCopyFromIsExact copies a detector into a zero receiver and into
+// one holding other state. After the same further traffic, the source
+// and the copy must both match an independent reference: the copy
+// evolves exactly like its source and shares no storage with it.
+func TestCopyFromIsExact(t *testing.T) {
+	cfg := defaultCfg(0.05, time.Second)
+	feed := func(d *Detector, seed, from int64) int64 {
+		rng := rand.New(rand.NewSource(seed))
+		now := from
+		for i := 0; i < 3000; i++ {
+			now += sec / 1000
+			src := addr.From4Uint32(10<<24 | uint32(rng.ExpFloat64()*300))
+			observe(d, src, 1000, now)
+		}
+		return now
+	}
+	build := func() *Detector {
+		d, err := NewDetector(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	ref := build()
+	end := feed(ref, 2, feed(ref, 1, 0))
+	want, wantMass := ref.Query(end), ref.TotalMass(end)
+	if want.Len() == 0 {
+		t.Fatal("empty reference query")
+	}
+	other := build()
+	feed(other, 3, 0)
+	for i, dst := range []*Detector{new(Detector), other} {
+		src := build()
+		mid := feed(src, 1, 0)
+		dst.CopyFrom(src)
+		feed(src, 2, mid)
+		feed(dst, 2, mid)
+		for name, d := range map[string]*Detector{"source": src, "copy": dst} {
+			if got := d.Query(end); !reflect.DeepEqual(got, want) || d.TotalMass(end) != wantMass || d.Packets() != ref.Packets() {
+				t.Fatalf("receiver %d: %s query %v (mass %v), reference %v (mass %v)",
+					i, name, got, d.TotalMass(end), want, wantMass)
+			}
 		}
 	}
 }

@@ -64,29 +64,25 @@ func (d *Detector) State() State {
 // and decay law NewDetector would have built from cfg; active prefixes
 // must lie on the hierarchy's lattice.
 func Restore(cfg Config, sampler uint64, st State) (*Detector, error) {
-	d, err := NewDetector(cfg)
-	if err != nil {
+	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	if len(st.Filters) != d.levels {
-		return nil, fmt.Errorf("continuous: restore: %d filters for %d-level hierarchy", len(st.Filters), d.levels)
+	if len(st.Filters) != cfg.Hierarchy.Levels() {
+		return nil, fmt.Errorf("continuous: restore: %d filters for %d-level hierarchy", len(st.Filters), cfg.Hierarchy.Levels())
 	}
 	for l, f := range st.Filters {
 		if f == nil {
 			return nil, fmt.Errorf("continuous: restore: nil filter at level %d", l)
 		}
-		want := d.filters[l]
-		if f.Cells() != want.Cells() || f.Hashes() != want.Hashes() || f.Seed() != want.Seed() ||
-			f.Decay().String() != want.Decay().String() {
+		if !cfg.levelFilter(l).Builds(f) {
 			return nil, fmt.Errorf("continuous: restore: level %d filter shape/seed/decay differs from config", l)
 		}
-		d.filters[l] = f
 	}
 	total, err := tdbf.RestoreMassTracker(cfg.Filter.Decay, st.Total)
 	if err != nil {
 		return nil, err
 	}
-	d.total = total
+	d := newDetector(cfg, st.Filters, total)
 	for _, e := range st.Active {
 		if !cfg.Hierarchy.OnLattice(e.Prefix) {
 			return nil, fmt.Errorf("continuous: restore: active prefix %v off the hierarchy lattice", e.Prefix)

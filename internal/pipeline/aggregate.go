@@ -1,13 +1,13 @@
 // Cluster aggregation: the receive side of cluster mode. An Aggregator
 // accepts sealed wire frames from a fleet of ingest processes (each
-// running its own Sharded pipeline with Config.OnSeal set), aligns them
-// — per exact window for the windowed engines, latest-frame-per-node for
-// the sliding and continuous engines — wraps each decoded frame in the
-// Summary adapter the in-process shards run (summaryOf), merges through
-// it, and publishes a global HHH report. Late or missing nodes degrade
-// the report's declared coverage (Nodes < Expected, Degraded set), never
-// its correctness: a published set is always the true answer over the
-// frames that arrived.
+// running its own Sharded pipeline with Config.OnSeal set), decodes each
+// frame exactly once into the Summary adapter the in-process shards run
+// (summaryOf), aligns the decoded summaries — per exact window for the
+// windowed engines, latest-frame-per-node for the sliding and continuous
+// engines — merges them in node-name order, and publishes a global HHH
+// report. Late or missing nodes degrade the report's declared coverage
+// (Nodes < Expected, Degraded set), never its correctness: a published
+// set is always the true answer over the frames that arrived.
 //
 // Alignment rules
 //
@@ -18,24 +18,34 @@
 //     arrived and marks the report degraded. Frames for already
 //     published rounds are counted late and dropped.
 //   - Sliding kinds (sliding, memento) and continuous: the aggregator
-//     keeps each node's newest frame, decodes them all on every ingest,
-//     advances each engine to the fleet-wide maximum End and merges.
-//     A silent node's last frame keeps contributing until it ages out
-//     of the window naturally — exactly the sliding model's semantics —
-//     and the report is marked degraded once any node's End trails the
-//     fleet maximum by more than the window span.
+//     keeps each node's newest decoded summary. Every ingest advances
+//     the cached summaries to the fleet-wide maximum End, copies the
+//     first into one accumulator it reuses across publishes, and merges
+//     the rest into it; no publish decodes a frame. A silent node's
+//     last frame keeps contributing until it ages out of the window
+//     naturally — exactly the sliding model's semantics — and the
+//     report is marked degraded once any node's End trails the fleet
+//     maximum by more than the window span.
 //
-// Every frame is validated by the wire codec before it touches an
-// engine; kind or hierarchy drift against the first accepted frame is
-// rejected with a typed error, and engine panics on geometry mismatches
-// (e.g. two nodes configured with different counter budgets) are
-// recovered and reported as errors, keeping the aggregator alive.
+// Merges that evict (Memento, Space-Saving) depend on their order, so
+// the fleet always merges in node-name order: identical input publishes
+// identical reports.
+//
+// Every frame is decoded and validated at Ingest, before it touches an
+// engine. A frame that fails to decode, drifts from the kind and
+// hierarchy pinned by the first decoded frame, or carries an engine
+// geometry the fleet cannot merge (e.g. a node configured with a
+// different counter budget) is rejected with a typed error charged to
+// its sender, which keeps its previous summary; the rejected frame joins
+// no round, so a misconfigured node cannot poison the merge.
 
 package pipeline
 
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -153,15 +163,15 @@ type aggNode struct {
 	lastEnd  int64
 	lastSeen int64 // wall-clock unix nanos
 	rejected int64
-	latest   []byte // newest frame (sliding kinds)
+	latest   Summary // newest decoded frame (latest-frame kinds)
 	frameCtr *telemetry.Counter
 }
 
 // aggRound is one pending windowed round.
 type aggRound struct {
 	start, end int64
-	frames     map[string][]byte
-	degraded   bool // any contributing frame sealed degraded
+	sums       map[string]Summary // decoded frame per contributing node
+	degraded   bool               // any contributing frame sealed degraded
 	timer      *time.Timer
 }
 
@@ -175,6 +185,8 @@ type Aggregator struct {
 	hdr       wire.Header // descriptor pinned alongside kind
 	spanWidth int64       // window span learned from sealed metadata
 	nodes     map[string]*aggNode
+	order     []*aggNode          // nodes sorted by name: the merge order
+	acc       Summary             // reused latest-frame accumulator, pinning the fleet's geometry
 	rounds    map[int64]*aggRound // windowed kinds only
 	published int64               // newest published round End
 	closed    bool
@@ -251,6 +263,10 @@ func (a *Aggregator) node(name string) *aggNode {
 			}, name)
 		}
 		a.nodes[name] = n
+		i, _ := slices.BinarySearchFunc(a.order, name, func(m *aggNode, name string) int {
+			return strings.Compare(m.name, name)
+		})
+		a.order = slices.Insert(a.order, i, n)
 	}
 	return n
 }
@@ -281,44 +297,35 @@ func (a *Aggregator) reject(n *aggNode, format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrFrameRejected, fmt.Sprintf(format, args...))
 }
 
-// Ingest accepts one sealed frame from the named node. Rejections wrap
-// ErrFrameRejected; a nil return means the frame was accepted (it may
-// still have been dropped as late, which Stats counts).
+// Ingest accepts one sealed frame from the named node. The frame is
+// decoded once, before the aggregator lock is taken, so concurrent
+// callers decode in parallel. A frame that fails to decode, drifts from
+// the fleet's pinned kind or hierarchy, or cannot merge with the
+// fleet's engine geometry is rejected with an error wrapping
+// ErrFrameRejected and charged to the node, which keeps its previous
+// summary. A nil return means the frame was accepted (it may still have
+// been dropped as late, which Stats counts).
 func (a *Aggregator) Ingest(nodeName string, s Sealed) error {
-	hdr, err := wire.Inspect(s.Frame)
-	if err != nil {
-		a.mu.Lock()
-		n := a.node(nodeName)
-		err := a.reject(n, "bad frame from %s: %v", nodeName, err)
-		a.mu.Unlock()
-		return err
-	}
+	hdr, sum, err := a.decode(s.Frame)
 
 	a.mu.Lock()
+	defer a.mu.Unlock()
+	n := a.node(nodeName)
+	if err != nil {
+		return a.reject(n, "bad frame from %s: %v", nodeName, err)
+	}
 	if a.closed {
-		a.mu.Unlock()
 		return fmt.Errorf("pipeline: aggregator closed")
 	}
-	n := a.node(nodeName)
 	if a.kind == 0 {
-		if roundAligned(hdr.Kind) || hdr.Kind == wire.KindSliding ||
-			hdr.Kind == wire.KindMemento || hdr.Kind == wire.KindContinuous {
-			a.kind, a.hdr = hdr.Kind, hdr
-		} else {
-			err := a.reject(n, "kind %v is not a mergeable top-level summary", hdr.Kind)
-			a.mu.Unlock()
-			return err
-		}
+		a.kind, a.hdr = hdr.Kind, hdr
 	}
 	if hdr.Kind != a.kind {
-		err := a.reject(n, "kind drift: fleet ships %v, %s sent %v", a.kind, nodeName, hdr.Kind)
-		a.mu.Unlock()
-		return err
+		return a.reject(n, "kind drift: fleet ships %v, %s sent %v", a.kind, nodeName, hdr.Kind)
 	}
 	if hdr.Family != a.hdr.Family || hdr.Step != a.hdr.Step || hdr.Depth != a.hdr.Depth {
 		a.rejected.Add(1)
 		n.rejected++
-		a.mu.Unlock()
 		return fmt.Errorf("%w: %w: fleet hierarchy (%d/%d/%d), %s sent (%d/%d/%d)",
 			ErrFrameRejected, wire.ErrHierarchyMismatch,
 			a.hdr.Family, a.hdr.Step, a.hdr.Depth,
@@ -326,8 +333,12 @@ func (a *Aggregator) Ingest(nodeName string, s Sealed) error {
 	}
 	if s.Seq <= n.lastSeq {
 		a.lateFrames.Add(1)
-		a.mu.Unlock()
 		return nil
+	}
+	if acc, ok := a.acc.(latestSummary); ok {
+		if err := acc.mergeable(sum); err != nil {
+			return a.reject(n, "geometry drift from %s: %v", nodeName, err)
+		}
 	}
 	n.frames++
 	n.lastSeq = s.Seq
@@ -343,32 +354,48 @@ func (a *Aggregator) Ingest(nodeName string, s Sealed) error {
 	}
 
 	if roundAligned(a.kind) {
-		err = a.ingestRoundLocked(nodeName, s)
-		a.mu.Unlock()
-		return err
+		return a.ingestRoundLocked(nodeName, s, sum)
 	}
-	n.latest = s.Frame
-	err = a.publishLatestLocked(s.Degraded)
-	a.mu.Unlock()
-	return err
+	prev := n.latest
+	n.latest = sum
+	if err := a.publishLatestLocked(s.Degraded); err != nil {
+		n.latest = prev
+		return a.reject(n, "merge from %s: %v", nodeName, err)
+	}
+	return nil
 }
 
-// ingestRoundLocked files a frame into its window round, publishing the
-// round when the fleet is complete. Caller holds a.mu.
-func (a *Aggregator) ingestRoundLocked(nodeName string, s Sealed) error {
+// decode inspects a frame and decodes it into its Summary adapter. It
+// touches no aggregator state, so Ingest runs it before taking a.mu.
+func (a *Aggregator) decode(frame []byte) (wire.Header, Summary, error) {
+	hdr, err := wire.Inspect(frame)
+	if err != nil {
+		return hdr, nil, err
+	}
+	v, err := wire.Decode(frame)
+	if err != nil {
+		return hdr, nil, err
+	}
+	sum, err := summaryOf(v, a.cfg.Phi)
+	return hdr, sum, err
+}
+
+// ingestRoundLocked files a decoded frame into its window round,
+// publishing the round when the fleet is complete. Caller holds a.mu.
+func (a *Aggregator) ingestRoundLocked(nodeName string, s Sealed, sum Summary) error {
 	if s.End <= a.published {
 		a.lateFrames.Add(1)
 		return nil
 	}
 	r, ok := a.rounds[s.End]
 	if !ok {
-		r = &aggRound{start: s.Start, end: s.End, frames: make(map[string][]byte)}
+		r = &aggRound{start: s.Start, end: s.End, sums: make(map[string]Summary)}
 		r.timer = time.AfterFunc(a.cfg.RoundGrace, func() { a.expireRound(s.End) })
 		a.rounds[s.End] = r
 	}
-	r.frames[nodeName] = s.Frame
+	r.sums[nodeName] = sum
 	r.degraded = r.degraded || s.Degraded
-	if len(r.frames) >= a.cfg.Expected {
+	if len(r.sums) >= a.cfg.Expected {
 		return a.publishRoundsThroughLocked(r.end)
 	}
 	return nil
@@ -413,10 +440,17 @@ func (a *Aggregator) publishRoundsThroughLocked(end int64) error {
 	return firstErr
 }
 
-// publishRoundLocked merges one round's frames and publishes the global
-// report. Caller holds a.mu.
+// publishRoundLocked merges one round's summaries in node-name order
+// and publishes the global report. The round is discarded afterwards,
+// so the first summary serves as the accumulator. Caller holds a.mu.
 func (a *Aggregator) publishRoundLocked(r *aggRound) error {
-	set, total, err := a.mergeFrames(framesOf(r.frames), r.end)
+	sums := make([]Summary, 0, len(r.sums))
+	for _, n := range a.order {
+		if s := r.sums[n.name]; s != nil {
+			sums = append(sums, s)
+		}
+	}
+	set, total, err := mergeInto(sums[0], sums[1:], r.end)
 	if err != nil {
 		a.rejected.Add(1)
 		return fmt.Errorf("%w: round %d: %v", ErrFrameRejected, r.end, err)
@@ -426,37 +460,35 @@ func (a *Aggregator) publishRoundLocked(r *aggRound) error {
 		Start:    r.start,
 		End:      r.end,
 		Bytes:    total,
-		Nodes:    len(r.frames),
+		Nodes:    len(sums),
 		Expected: a.cfg.Expected,
-		Degraded: r.degraded || len(r.frames) < a.cfg.Expected,
+		Degraded: r.degraded || len(sums) < a.cfg.Expected,
 	})
 	return nil
 }
 
-// publishLatestLocked re-merges every node's newest frame (sliding
-// kinds). Caller holds a.mu.
+// publishLatestLocked re-merges every node's cached summary (latest-
+// frame kinds) in node-name order: each is advanced to the fleet-wide
+// maximum End, the first is copied into the reused accumulator and the
+// rest merge into it. Caller holds a.mu.
 func (a *Aggregator) publishLatestLocked(sealDegraded bool) error {
-	var frames [][]byte
+	sums := make([]Summary, 0, len(a.order))
 	var maxEnd int64
-	contributing := 0
-	for _, n := range a.nodes {
-		if n.latest == nil {
-			continue
-		}
-		frames = append(frames, n.latest)
-		contributing++
-		if n.lastEnd > maxEnd {
-			maxEnd = n.lastEnd
+	for _, n := range a.order {
+		if n.latest != nil {
+			sums = append(sums, n.latest)
+			maxEnd = max(maxEnd, n.lastEnd)
 		}
 	}
-	set, total, err := a.mergeFrames(frames, maxEnd)
+	sums[0].Advance(maxEnd)
+	a.acc = sums[0].(latestSummary).copyTo(a.acc)
+	set, total, err := mergeInto(a.acc, sums[1:], maxEnd)
 	if err != nil {
-		a.rejected.Add(1)
-		return fmt.Errorf("%w: %v", ErrFrameRejected, err)
+		return err
 	}
-	degraded := sealDegraded || contributing < a.cfg.Expected
+	degraded := sealDegraded || len(sums) < a.cfg.Expected
 	if width := a.spanWidth; width > 0 {
-		for _, n := range a.nodes {
+		for _, n := range a.order {
 			if n.latest != nil && maxEnd-n.lastEnd > width {
 				degraded = true // node's last frame has aged past the span
 			}
@@ -467,7 +499,7 @@ func (a *Aggregator) publishLatestLocked(sealDegraded bool) error {
 		Start:    a.latestStart(maxEnd),
 		End:      maxEnd,
 		Bytes:    total,
-		Nodes:    contributing,
+		Nodes:    len(sums),
 		Expected: a.cfg.Expected,
 		Degraded: degraded,
 	})
@@ -494,45 +526,20 @@ func (a *Aggregator) store(r *AggReport) {
 	}
 }
 
-// framesOf flattens a round's frame map.
-func framesOf(m map[string][]byte) [][]byte {
-	out := make([][]byte, 0, len(m))
-	for _, f := range m {
-		out = append(out, f)
-	}
-	return out
-}
-
-// mergeFrames decodes frames of the pinned kind, wraps each in its
-// Summary adapter, advances it to at, merges them and queries the
-// result at at. Engine panics (geometry drift between nodes) are
-// recovered into errors. Caller holds a.mu.
-func (a *Aggregator) mergeFrames(frames [][]byte, at int64) (set hhh.Set, total int64, err error) {
-	if len(frames) == 0 {
-		return hhh.NewSet(), 0, nil
-	}
+// mergeInto advances each of sums to at and merges it into acc, which
+// is already at at, then queries acc at at. Ingest rejects the geometry
+// drift on which engines' Merge panics, so a recovered panic here is a
+// defect, reported as an error to keep the aggregator alive.
+func mergeInto(acc Summary, sums []Summary, at int64) (set hhh.Set, total int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			set, total = nil, 0
 			err = fmt.Errorf("merge panic: %v", r)
 		}
 	}()
-	var acc Summary
-	for _, f := range frames {
-		v, err := wire.Decode(f)
-		if err != nil {
-			return nil, 0, err
-		}
-		s, err := summaryOf(v, a.cfg.Phi)
-		if err != nil {
-			return nil, 0, err
-		}
+	for _, s := range sums {
 		s.Advance(at)
-		if acc == nil {
-			acc = s
-		} else {
-			acc.Merge(s)
-		}
+		acc.Merge(s)
 	}
 	set, total = acc.Query(at)
 	return set, total, nil
@@ -556,12 +563,10 @@ func (a *Aggregator) Stats() AggStats {
 		st.Kind = a.kind.String()
 	}
 	var maxEnd int64
-	for _, n := range a.nodes {
-		if n.lastEnd > maxEnd {
-			maxEnd = n.lastEnd
-		}
+	for _, n := range a.order {
+		maxEnd = max(maxEnd, n.lastEnd)
 	}
-	for _, n := range a.nodes {
+	for _, n := range a.order {
 		lag := int64(0)
 		if n.lastEnd > 0 && maxEnd > n.lastEnd {
 			lag = maxEnd - n.lastEnd
@@ -575,11 +580,6 @@ func (a *Aggregator) Stats() AggStats {
 			LagNs:            lag,
 			Rejected:         n.rejected,
 		})
-	}
-	for i := 0; i < len(st.Nodes); i++ { // sort by name; fleets are small
-		for j := i; j > 0 && st.Nodes[j].Node < st.Nodes[j-1].Node; j-- {
-			st.Nodes[j], st.Nodes[j-1] = st.Nodes[j-1], st.Nodes[j]
-		}
 	}
 	return st
 }

@@ -1,7 +1,11 @@
 package pipeline
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -360,5 +364,289 @@ func TestAggregatorSliding(t *testing.T) {
 	rep = agg.Report()
 	if rep.End != end2 || !rep.Degraded {
 		t.Fatalf("lagging node should degrade: %+v", rep)
+	}
+}
+
+// sealedFrame builds the summary cfg selects, feeds it pkts and encodes
+// it: a frame as an ingest node with that config would seal it.
+func sealedFrame(tb testing.TB, cfg Config, pkts []trace.Packet) []byte {
+	tb.Helper()
+	if err := cfg.setDefaults(); err != nil {
+		tb.Fatal(err)
+	}
+	s, err := newSummary(&cfg, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var kb trace.KeyBatch
+	kb.AppendPackets(trace.NewPacker(cfg.Hierarchy), pkts)
+	s.UpdateKeys(&kb)
+	frame, err := wire.Encode(s.engine())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return frame
+}
+
+// undecodable returns a per-level frame with its level count bumped and
+// the CRC recomputed: the envelope passes wire.Inspect, the payload
+// fails wire.Decode.
+func undecodable(frame []byte) []byte {
+	out := slices.Clone(frame)
+	out[16+8]++ // header, then the per-level payload's total (i64) and u16 level count
+	n := len(out) - 4
+	binary.LittleEndian.PutUint32(out[n:], crc32.ChecksumIEEE(out[:n]))
+	return out
+}
+
+// TestAggregatorPoisonedFleet sends one bad frame from node "bad" into
+// a fleet whose node "good" has already been accepted: a Memento frame
+// sealed with 256 counters into a fleet running 512 (a latest-frame
+// kind), and a per-level frame that passes wire.Inspect but not
+// wire.Decode (a round-aligned kind). The bad frame must be rejected and
+// charged to "bad", and it must leave no trace: good's three later
+// frames are accepted and every report equals the one an aggregator that
+// never saw the bad frame publishes.
+func TestAggregatorPoisonedFleet(t *testing.T) {
+	pkts := testStream(17, 4000, 1)
+	memento512 := Config{Mode: ModeSliding, Engine: KindMemento, Window: 10 * time.Second, Frames: 4, Counters: 512, Phi: 0.05, Seed: 3}
+	memento256 := memento512
+	memento256.Counters = 256
+	perLevel := Config{Engine: KindPerLevel, Window: time.Second, Phi: 0.05}
+	cases := []struct {
+		name      string
+		good, bad []byte
+		endStep   int64 // End advance per good frame; 0 keeps the sliding span
+	}{
+		{"memento", sealedFrame(t, memento512, pkts), sealedFrame(t, memento256, pkts), 0},
+		{"perlevel", sealedFrame(t, perLevel, pkts), undecodable(sealedFrame(t, perLevel, pkts)), int64(time.Second)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := wire.Inspect(tc.bad); err != nil {
+				t.Fatalf("bad frame must pass Inspect: %v", err)
+			}
+			seal := func(seq int64, frame []byte) Sealed {
+				end := int64(time.Second) + (seq-1)*tc.endStep
+				return Sealed{Seq: seq, Start: end - int64(time.Second), End: end, Frame: frame}
+			}
+			newAgg := func() *Aggregator {
+				agg, err := NewAggregator(AggregatorConfig{Expected: 2, Phi: 0.05, RoundGrace: time.Minute})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(agg.Close)
+				return agg
+			}
+			agg, ref := newAgg(), newAgg()
+			for _, a := range []*Aggregator{agg, ref} {
+				if err := a.Ingest("good", seal(1, tc.good)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := agg.Ingest("bad", seal(1, tc.bad)); !errors.Is(err, ErrFrameRejected) {
+				t.Fatalf("bad frame: %v, want ErrFrameRejected", err)
+			}
+			for seq := int64(2); seq <= 4; seq++ {
+				for _, a := range []*Aggregator{agg, ref} {
+					if err := a.Ingest("good", seal(seq, tc.good)); err != nil {
+						t.Fatalf("good frame %d after the bad one: %v", seq, err)
+					}
+					a.Flush()
+				}
+				got, want := agg.Report(), ref.Report()
+				if !got.Set.Equal(want.Set) || got.Bytes != want.Bytes || got.Nodes != want.Nodes || got.End != want.End {
+					t.Fatalf("after good frame %d: report %+v, want %+v", seq, got, want)
+				}
+				if got.Set.Len() == 0 {
+					t.Fatalf("after good frame %d: empty report", seq)
+				}
+			}
+			st, rst := agg.Stats(), ref.Stats()
+			if st.Rejected != 1 || st.Merges != rst.Merges || st.Merges < 3 {
+				t.Fatalf("stats %+v, reference merges %d", st, rst.Merges)
+			}
+			for _, n := range st.Nodes {
+				want := int64(0)
+				if n.Node == "bad" {
+					want = 1
+				}
+				if n.Rejected != want {
+					t.Fatalf("node %s rejected %d, want %d", n.Node, n.Rejected, want)
+				}
+			}
+		})
+	}
+}
+
+// TestAggregatorMergeOrderDeterministic feeds one frame sequence to 20
+// fresh aggregators. Memento and Space-Saving merges evict, so the
+// merge order shapes the result; the aggregator merges in node-name
+// order, so every aggregator must publish identical reports.
+func TestAggregatorMergeOrderDeterministic(t *testing.T) {
+	const nodes = 4
+	pkts := testStream(23, 20000, 1)
+	for _, cfg := range []Config{
+		{Mode: ModeSliding, Engine: KindMemento, Counters: 16, Frames: 4, Seed: 3},
+		{Mode: ModeSliding, Engine: KindWCSS, Counters: 16, Frames: 4},
+		{Engine: KindPerLevel, Counters: 16},
+	} {
+		cfg.Window, cfg.Phi = time.Second, 0.02
+		t.Run(cfg.Engine.String(), func(t *testing.T) {
+			var seals []Sealed
+			for n := 0; n < nodes; n++ {
+				var part []trace.Packet
+				for i := range pkts {
+					if int(pkts[i].Src.Lo()%nodes) == n || i%3 == n%3 { // overlapping partitions
+						part = append(part, pkts[i])
+					}
+				}
+				frame := sealedFrame(t, cfg, part)
+				seals = append(seals, Sealed{Seq: 1, Start: 0, End: int64(time.Second), Frame: frame})
+			}
+			var first []*AggReport
+			for run := 0; run < 20; run++ {
+				agg, err := NewAggregator(AggregatorConfig{Expected: nodes, Phi: cfg.Phi, RoundGrace: time.Minute})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var reps []*AggReport
+				for n, s := range seals {
+					if err := agg.Ingest(fmt.Sprintf("node%d", (n*7)%nodes), s); err != nil {
+						t.Fatal(err)
+					}
+					reps = append(reps, agg.Report())
+				}
+				agg.Close()
+				if run == 0 {
+					first = reps
+					if reps[len(reps)-1].Set.Len() == 0 {
+						t.Fatal("empty merged report")
+					}
+					continue
+				}
+				for i, r := range reps {
+					if !r.Set.Equal(first[i].Set) || r.Bytes != first[i].Bytes {
+						t.Fatalf("run %d report %d: %v (%d bytes), run 0: %v (%d bytes)",
+							run, i, r.Set, r.Bytes, first[i].Set, first[i].Bytes)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAggregatorIngest is the aggregator hop of the cluster
+// ledger. One op is one Aggregator.Ingest of a pre-sealed frame from a
+// 3-node fleet — decode, merge and publish — so ns/op and B/op read per
+// frame. The frames come from three one-shard nodes over a
+// source-partitioned stream at the end-to-end benchmark's geometry
+// (5 s window, 8 frames, 512 counters). Windowed frames carry no clock,
+// so each lap files them into a new round; sliding frames keep their
+// End, so every publish merges full, aligned summaries.
+func BenchmarkAggregatorIngest(b *testing.B) {
+	const nodes = 3
+	window := 5 * time.Second
+	pkts := testStream(29, 60000, 5)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"memento", Config{Mode: ModeSliding, Engine: KindMemento, Frames: 8, Seed: 9}},
+		{"wcss", Config{Mode: ModeSliding, Engine: KindWCSS, Frames: 8}},
+		{"perlevel", Config{Engine: KindPerLevel}},
+	} {
+		tc.cfg.Window, tc.cfg.Phi, tc.cfg.Counters = window, 0.05, 512
+		names := make([]string, nodes)
+		frames := make([][]byte, nodes)
+		for n := range frames {
+			var part []trace.Packet
+			for i := range pkts {
+				if int(pkts[i].Src.Lo()%nodes) == n {
+					part = append(part, pkts[i])
+				}
+			}
+			names[n] = fmt.Sprintf("node%d", n)
+			frames[n] = sealedFrame(b, tc.cfg, part)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			agg, err := NewAggregator(AggregatorConfig{Expected: nodes, Phi: tc.cfg.Phi, RoundGrace: time.Minute})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer agg.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n, lap := i%nodes, int64(i/nodes)
+				s := Sealed{Seq: lap + 1, End: int64(window), Frame: frames[n]}
+				if tc.cfg.Mode == ModeWindowed {
+					s.End = (lap + 1) * int64(window)
+				}
+				s.Start = s.End - int64(window)
+				if err := agg.Ingest(names[n], s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestAggregatorConcurrentIngest has three nodes push frames from their
+// own goroutines, so decodes run concurrently outside the aggregator
+// lock. Every frame must be accepted, and the last publication — which
+// merges every node's final frame — must equal a sequential run's.
+func TestAggregatorConcurrentIngest(t *testing.T) {
+	const nodes, frames = 3, 8
+	cfg := Config{Mode: ModeSliding, Engine: KindMemento, Window: 10 * time.Second, Frames: 4, Counters: 32, Phi: 0.05, Seed: 3}
+	pkts := testStream(31, 6000, 1)
+	seals := make([][]Sealed, nodes)
+	for n := range seals {
+		for f := 0; f < frames; f++ {
+			var part []trace.Packet
+			for i := range pkts {
+				if int(pkts[i].Src.Lo()%nodes) == n && i%frames <= f {
+					part = append(part, pkts[i])
+				}
+			}
+			end := int64(time.Second)
+			seals[n] = append(seals[n], Sealed{Seq: int64(f + 1), Start: end - int64(cfg.Window), End: end, Frame: sealedFrame(t, cfg, part)})
+		}
+	}
+	newAgg := func() *Aggregator {
+		agg, err := NewAggregator(AggregatorConfig{Expected: nodes, Phi: cfg.Phi})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(agg.Close)
+		return agg
+	}
+	seq, conc := newAgg(), newAgg()
+	for n := range seals {
+		for _, s := range seals[n] {
+			if err := seq.Ingest(fmt.Sprintf("node%d", n), s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for n := range seals {
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			for _, s := range seals[n] {
+				if err := conc.Ingest(fmt.Sprintf("node%d", n), s); err != nil {
+					t.Error(err)
+				}
+			}
+		}(n)
+	}
+	wg.Wait()
+	got, want := conc.Report(), seq.Report()
+	if !got.Set.Equal(want.Set) || got.Bytes != want.Bytes || got.Nodes != nodes {
+		t.Fatalf("concurrent report %+v, sequential %+v", got, want)
+	}
+	if st := conc.Stats(); st.Merges != nodes*frames || st.Rejected != 0 {
+		t.Fatalf("stats %+v", st)
 	}
 }

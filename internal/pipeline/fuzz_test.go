@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hiddenhhh/internal/tdbf"
-	"hiddenhhh/internal/trace"
 	"hiddenhhh/internal/wire"
 )
 
@@ -14,11 +13,14 @@ import (
 // frame from each of two nodes, so a decodable frame also completes a
 // windowed round or refreshes the sliding view and goes through the
 // merge. Ingest must never panic, and every error it returns must wrap
-// ErrFrameRejected. The corpus seeds one sealed frame per mergeable
-// kind plus a bare filter frame, which the aggregator must refuse.
+// ErrFrameRejected. A rejected frame must leave no trace: valid Memento
+// frames from a third node, one after the first fuzzed frame (nothing
+// pinned yet) and one after the second (Memento geometry pinned), must
+// publish the same Set, Bytes and Nodes as on a fresh aggregator. The
+// corpus seeds one sealed frame per mergeable kind plus a bare filter
+// frame, which the aggregator must refuse.
 func FuzzAggregatorIngest(f *testing.F) {
-	var kb trace.KeyBatch
-	kb.AppendPackets(trace.NewPacker(cfgHierarchy()), testStream(3, 200, 1))
+	var valid []byte
 	for _, cfg := range []Config{
 		{Engine: KindExact},
 		{Engine: KindPerLevel},
@@ -28,17 +30,9 @@ func FuzzAggregatorIngest(f *testing.F) {
 		{Mode: ModeContinuous, Cells: 256},
 	} {
 		cfg.Window, cfg.Phi, cfg.Counters, cfg.Frames = time.Second, 0.05, 16, 4
-		if err := cfg.setDefaults(); err != nil {
-			f.Fatal(err)
-		}
-		s, err := newSummary(&cfg, 0)
-		if err != nil {
-			f.Fatal(err)
-		}
-		s.UpdateKeys(&kb)
-		frame, err := wire.Encode(s.engine())
-		if err != nil {
-			f.Fatal(err)
+		frame := sealedFrame(f, cfg, testStream(3, 200, 1))
+		if cfg.Engine == KindMemento {
+			valid = frame
 		}
 		f.Add(frame)
 	}
@@ -48,16 +42,32 @@ func FuzzAggregatorIngest(f *testing.F) {
 	}
 	f.Add(filter)
 
-	f.Fuzz(func(t *testing.T, frame []byte) {
+	newAgg := func(t *testing.T) *Aggregator {
 		agg, err := NewAggregator(AggregatorConfig{Expected: 2, Phi: 0.05, RoundGrace: time.Minute})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer agg.Close()
-		for _, node := range []string{"a", "b"} {
+		t.Cleanup(agg.Close)
+		return agg
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		agg, fresh := newAgg(t), newAgg(t)
+		for i, node := range []string{"a", "b"} {
 			err := agg.Ingest(node, Sealed{Seq: 1, End: int64(time.Second), Frame: frame})
 			if err != nil && !errors.Is(err, ErrFrameRejected) {
 				t.Fatalf("node %s: Ingest error %v does not wrap ErrFrameRejected", node, err)
+			}
+			seal := Sealed{Seq: int64(i + 1), End: int64(time.Second), Frame: valid}
+			errGot, errWant := agg.Ingest("c", seal), fresh.Ingest("c", seal)
+			if err == nil {
+				return // the fuzzed frame was accepted; nothing to compare
+			}
+			if errWant != nil || errGot != nil {
+				t.Fatalf("valid frame after rejected %s: %v (fresh: %v)", node, errGot, errWant)
+			}
+			got, want := agg.Report(), fresh.Report()
+			if !got.Set.Equal(want.Set) || got.Bytes != want.Bytes || got.Nodes != want.Nodes {
+				t.Fatalf("after rejected %s: report %+v, fresh aggregator %+v", node, got, want)
 			}
 		}
 	})

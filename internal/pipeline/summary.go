@@ -48,6 +48,21 @@ type Summary interface {
 	engine() any
 }
 
+// latestSummary is the extra contract of the kinds the Aggregator
+// merges latest-frame-per-node (sliding, memento and continuous): it
+// keeps each node's decoded summary and re-merges the fleet on every
+// publish, into one accumulator it reuses.
+type latestSummary interface {
+	Summary
+	// copyTo makes dst an exact copy of the receiver, reusing dst's
+	// storage, and returns it; a nil dst gets a new adapter.
+	copyTo(dst Summary) Summary
+	// mergeable returns why o — a summary of the same kind — cannot
+	// Merge into the receiver: the engine geometry whose drift makes
+	// Merge panic.
+	mergeable(o Summary) error
+}
+
 // newSummary builds one shard's summary for cfg.
 func newSummary(cfg *Config, shard int) (Summary, error) {
 	// splitmix64 increments decorrelate the per-shard sampling streams of
@@ -195,6 +210,26 @@ func (e *slidingSummary) Query(now int64) (hhh.Set, int64) {
 	return e.d.Query(e.phi, now), e.d.WindowTotal(now)
 }
 
+func (e *slidingSummary) copyTo(dst Summary) Summary {
+	c, _ := dst.(*slidingSummary)
+	if c == nil {
+		c = &slidingSummary{d: new(swhh.SlidingHHH)}
+	}
+	c.d.CopyFrom(e.d)
+	c.phi = e.phi
+	return c
+}
+
+// mergeable requires the frame ring to match; per-frame Space-Saving
+// capacities may differ, as in PerLevel.
+func (e *slidingSummary) mergeable(o Summary) error {
+	a, b := e.d.Config(), o.(*slidingSummary).d.Config()
+	if a.Window != b.Window || a.Frames != b.Frames {
+		return fmt.Errorf("sliding frames %v/%d, fleet merges %v/%d", b.Window, b.Frames, a.Window, a.Frames)
+	}
+	return nil
+}
+
 // mementoSummary adapts the level-sampled Memento sliding detector. Like
 // slidingSummary, Advance aligns the frame clocks at the query barrier so
 // Merge is frame-by-frame; the reported mass comes from the wrapper's
@@ -215,6 +250,25 @@ func (e *mementoSummary) Query(now int64) (hhh.Set, int64) {
 	return e.d.Query(e.phi, now), e.d.WindowTotal(now)
 }
 
+func (e *mementoSummary) copyTo(dst Summary) Summary {
+	c, _ := dst.(*mementoSummary)
+	if c == nil {
+		c = &mementoSummary{d: new(swhh.MementoHHH)}
+	}
+	c.d.CopyFrom(e.d)
+	c.phi = e.phi
+	return c
+}
+
+// mergeable requires the frame ring and the table capacity to match.
+func (e *mementoSummary) mergeable(o Summary) error {
+	if a, b := e.d.Config(), o.(*mementoSummary).d.Config(); a != b {
+		return fmt.Errorf("memento geometry %v/%d frames/%d counters, fleet merges %v/%d/%d",
+			b.Window, b.Frames, b.Counters, a.Window, a.Frames, a.Counters)
+	}
+	return nil
+}
+
 // continuousSummary adapts the time-decaying Bloom filter detector. The
 // filters decay lazily, so Advance has nothing to do; Merge decays cell
 // pairs to a common time as it adds them.
@@ -231,4 +285,24 @@ func (e *continuousSummary) engine() any                  { return e.d }
 
 func (e *continuousSummary) Query(now int64) (hhh.Set, int64) {
 	return e.d.Query(now), int64(e.d.TotalMass(now))
+}
+
+func (e *continuousSummary) copyTo(dst Summary) Summary {
+	c, _ := dst.(*continuousSummary)
+	if c == nil {
+		c = &continuousSummary{d: new(continuous.Detector)}
+	}
+	c.d.CopyFrom(e.d)
+	return c
+}
+
+// mergeable requires the filter shape, seed and decay law to match.
+func (e *continuousSummary) mergeable(o Summary) error {
+	a, b := e.d.Config(), o.(*continuousSummary).d.Config()
+	if a.Seed != b.Seed || a.Filter.Cells != b.Filter.Cells || a.Filter.Hashes != b.Filter.Hashes ||
+		a.Filter.Decay.String() != b.Filter.Decay.String() {
+		return fmt.Errorf("continuous filters %d×%d seed %d %v, fleet merges %d×%d seed %d %v",
+			b.Filter.Cells, b.Filter.Hashes, b.Seed, b.Filter.Decay, a.Filter.Cells, a.Filter.Hashes, a.Seed, a.Filter.Decay)
+	}
+	return nil
 }

@@ -542,6 +542,19 @@ func (s *SpaceSaving) Reset() {
 	s.clock = 0
 }
 
+// CopyFrom makes s an exact copy of o — entries, count buckets, key
+// index, eviction clock and total — reusing s's storage where it is
+// large enough. A zero SpaceSaving is a valid receiver.
+func (s *SpaceSaving) CopyFrom(o *SpaceSaving) {
+	nodes, slots, words, tab, scratch := s.nodes, s.slots, s.words, s.tab, s.scratch
+	*s = *o
+	s.nodes = append(nodes[:0], o.nodes...)
+	s.slots = append(slots[:0], o.slots...)
+	s.words = append(words[:0], o.words...)
+	s.tab = append(tab[:0], o.tab...)
+	s.scratch = slices.Grow(scratch[:0], cap(o.scratch))
+}
+
 // ForEachTracked visits every monitored entry in unspecified order
 // without allocating — the zero-allocation query path used by the HHH
 // engines' conditioned bottom-up pass.

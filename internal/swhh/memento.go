@@ -95,11 +95,7 @@ func NewMemento(cfg Config) (*Memento, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	frameNs := int64(cfg.Window) / int64(cfg.Frames)
-	if frameNs < 1 {
-		frameNs = 1 // sub-frame window: 1 ns frames, same floor as NewSliding
-	}
-	ring := int64(cfg.Frames + 1)
+	frameNs, ring := cfg.geometry()
 	probe := mementoProbe
 	if probe > cfg.Counters {
 		probe = cfg.Counters
@@ -442,6 +438,25 @@ func (m *Memento) Merge(o *Memento) {
 	}
 }
 
+// copyFrom makes m an exact copy of o — entries, frame cells, totals,
+// eviction cursor, key index and frame clock — reusing m's storage. Only
+// the live entry rows are copied: rows past n are never read before
+// alloc clears them.
+func (m *Memento) copyFrom(o *Memento) {
+	keys, counts, errs, cells, totals, idx := m.keys, m.counts, m.errs, m.cells, m.totals, m.idx
+	*m = *o
+	m.keys = resize(keys, len(o.keys))
+	m.counts = resize(counts, len(o.counts))
+	m.errs = resize(errs, len(o.errs))
+	m.cells = resize(cells, len(o.cells))
+	copy(m.keys, o.keys[:o.n])
+	copy(m.counts, o.counts[:o.n])
+	copy(m.errs, o.errs[:o.n])
+	copy(m.cells, o.cells[:int64(o.n)*o.ring])
+	m.totals = append(totals[:0], o.totals...)
+	m.idx = append(idx[:0], o.idx...)
+}
+
 // Reset clears the table and totals but preserves the frame clock, for
 // the same reason Sliding.Reset does: Merge addresses frames by global
 // index, and the sharded barrier's accumulator is reset before every
@@ -494,32 +509,38 @@ type MementoHHH struct {
 // distinct seed per shard so shards sample independently, and a fixed
 // seed makes runs bit-reproducible.
 func NewMementoHHH(h addr.Hierarchy, cfg Config, seed uint64) (*MementoHHH, error) {
-	cfg.setDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	d := &MementoHHH{
-		h:      h,
-		levels: make([]*Memento, h.Levels()),
-		masks:  make([]uint64, h.Levels()),
-		high:   h.KeyFromHigh(),
-		nlev:   uint64(h.Levels()),
-		rng:    hashx.Mix64(seed ^ 0x5851f42d4c957f2d),
-	}
-	for l := range d.levels {
+	levels := make([]*Memento, h.Levels())
+	for l := range levels {
 		m, err := NewMemento(cfg)
 		if err != nil {
 			return nil, err
 		}
-		d.levels[l] = m
+		levels[l] = m
+	}
+	totals := make([]int64, levels[0].ring)
+	return newMementoHHH(h, levels, totals, hashx.Mix64(seed^0x5851f42d4c957f2d), frameUninit), nil
+}
+
+// newMementoHHH assembles a detector around per-level tables that share
+// one frame geometry, adopting the tables and the totals ring.
+func newMementoHHH(h addr.Hierarchy, levels []*Memento, totals []int64, rng uint64, curFrame int64) *MementoHHH {
+	d := &MementoHHH{
+		h:        h,
+		levels:   levels,
+		masks:    make([]uint64, len(levels)),
+		high:     h.KeyFromHigh(),
+		nlev:     uint64(len(levels)),
+		rng:      rng,
+		frameNs:  levels[0].frameNs,
+		ring:     levels[0].ring,
+		totals:   totals,
+		curFrame: curFrame,
+		qs:       hhh.NewQueryScratch(),
+	}
+	for l := range d.masks {
 		d.masks[l] = h.KeyMask(l)
 	}
-	d.frameNs = d.levels[0].frameNs
-	d.ring = d.levels[0].ring
-	d.totals = make([]int64, d.ring)
-	d.curFrame = frameUninit
-	d.qs = hhh.NewQueryScratch()
-	return d, nil
+	return d
 }
 
 // advanceTotals ages the wrapper's exact totals ring to global frame
@@ -642,6 +663,29 @@ func (d *MementoHHH) Merge(o *MementoHHH) {
 	for g := d.curFrame - d.ring + 1; g <= o.curFrame; g++ {
 		slot := floorMod(g, d.ring)
 		d.totals[slot] += o.totals[slot]
+	}
+}
+
+// CopyFrom makes d an exact copy of o — every level's table with its
+// eviction cursor and key index, the totals ring, the frame clocks and
+// the sampler — reusing d's storage. A zero MementoHHH is a valid
+// receiver. Merging into a copy of the first summary reproduces merging
+// into that summary itself, without consuming it.
+func (d *MementoHHH) CopyFrom(o *MementoHHH) {
+	levels, masks, totals, qs := d.levels, d.masks, d.totals, d.qs
+	*d = *o
+	d.levels = resize(levels, len(o.levels))
+	for l, lv := range o.levels {
+		if d.levels[l] == nil {
+			d.levels[l] = new(Memento)
+		}
+		d.levels[l].copyFrom(lv)
+	}
+	d.masks = append(masks[:0], o.masks...)
+	d.totals = append(totals[:0], o.totals...)
+	d.qs = qs
+	if d.qs == nil {
+		d.qs = hhh.NewQueryScratch()
 	}
 }
 

@@ -2,6 +2,7 @@ package swhh
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -561,4 +562,88 @@ func BenchmarkMementoHHHUpdate(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchUpdateKeys(b, d)
+}
+
+// copyEngine is what TestCopyFromIsExact drives and compares.
+type copyEngine interface {
+	keyEngine
+	Query(phi float64, now int64) hhh.Set
+	WindowTotal(now int64) int64
+}
+
+// checkCopy copies a summary built over first into each receiver, then
+// feeds then to both the source and the copy. Both must match an
+// independent reference built over first and then: a copy evolves
+// exactly like its source — evictions included, which depend on the
+// copied cursor and index — and shares no storage with it.
+func checkCopy[E copyEngine](t *testing.T, build func() E, copyFrom func(dst, src E), receivers []E, first, then []trace.Packet) {
+	t.Helper()
+	ref := build()
+	updateBatch(ref, first)
+	updateBatch(ref, then)
+	end := then[len(then)-1].Ts
+	want, wantTotal := ref.Query(0.02, end), ref.WindowTotal(end)
+	if want.Len() == 0 {
+		t.Fatal("empty reference query")
+	}
+	for i, dst := range receivers {
+		src := build()
+		updateBatch(src, first)
+		copyFrom(dst, src)
+		updateBatch(src, then)
+		updateBatch(dst, then)
+		for name, e := range map[string]E{"source": src, "copy": dst} {
+			if got := e.Query(0.02, end); !reflect.DeepEqual(got, want) || e.WindowTotal(end) != wantTotal {
+				t.Fatalf("receiver %d: %s query %v (total %d), reference %v (total %d)",
+					i, name, got, e.WindowTotal(end), want, wantTotal)
+			}
+		}
+	}
+}
+
+// copyStream is n packets 100 µs apart from from, over a /16 of sources
+// wide enough to keep small tables evicting.
+func copyStream(seed, from int64, n int) []trace.Packet {
+	rng := rand.New(rand.NewSource(seed))
+	pkts := make([]trace.Packet, n)
+	for i := range pkts {
+		pkts[i] = trace.Packet{
+			Ts:   from + int64(i)*int64(100*time.Microsecond),
+			Src:  addr.From4Uint32(10<<24 | uint32(rng.ExpFloat64()*2000)&0xffff),
+			Size: uint32(40 + rng.Intn(1400)),
+		}
+	}
+	return pkts
+}
+
+// TestCopyFromIsExact checks CopyFrom on both sliding engines, into a
+// zero receiver and into one holding other state.
+func TestCopyFromIsExact(t *testing.T) {
+	h := addr.NewIPv4Hierarchy(addr.Byte)
+	cfg := Config{Window: time.Second, Frames: 4, Counters: 32}
+	first, then := copyStream(1, 0, 8000), copyStream(2, int64(time.Second)/2, 8000)
+	t.Run("memento", func(t *testing.T) {
+		build := func() *MementoHHH {
+			d, err := NewMementoHHH(h, cfg, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}
+		other := build()
+		updateBatch(other, copyStream(3, 0, 3000))
+		checkCopy(t, build, (*MementoHHH).CopyFrom, []*MementoHHH{new(MementoHHH), other}, first, then)
+	})
+	t.Run("sliding", func(t *testing.T) {
+		build := func() *SlidingHHH {
+			d, err := NewSlidingHHH(h, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}
+		other := build()
+		updateBatch(other, copyStream(3, 0, 3000))
+		checkCopy(t, build, (*SlidingHHH).CopyFrom, []*SlidingHHH{new(SlidingHHH), other}, first, then)
+	})
 }

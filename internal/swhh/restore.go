@@ -39,25 +39,27 @@ func (s *Sliding) State() SlidingState {
 }
 
 // RestoreSliding rebuilds a flat Sliding summary from cfg and serialized
-// state. The frame summaries are adopted (typically from
-// sketch.RestoreSpaceSaving); ring length and per-frame capacities must
-// match cfg, and an uninitialised frame clock requires an empty ring.
+// state, adopting its frame summaries (typically from
+// sketch.RestoreSpaceSaving) and totals ring. Ring length and per-frame
+// capacities must match cfg, and an uninitialised frame clock requires
+// an empty ring.
 func RestoreSliding(cfg Config, st SlidingState) (*Sliding, error) {
-	s, err := NewSliding(cfg)
-	if err != nil {
+	cfg.setDefaults()
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if len(st.Frames) != len(s.frames) || len(st.Totals) != len(s.totals) {
+	frameNs, ring := cfg.geometry()
+	if int64(len(st.Frames)) != ring || int64(len(st.Totals)) != ring {
 		return nil, fmt.Errorf("swhh: restore: ring %d/%d does not match config ring %d",
-			len(st.Frames), len(st.Totals), len(s.frames))
+			len(st.Frames), len(st.Totals), ring)
 	}
 	for i, f := range st.Frames {
 		if f == nil {
 			return nil, fmt.Errorf("swhh: restore: nil frame summary at slot %d", i)
 		}
-		if f.Capacity() != s.cfg.Counters {
+		if f.Capacity() != cfg.Counters {
 			return nil, fmt.Errorf("swhh: restore: frame %d capacity %d != configured %d",
-				i, f.Capacity(), s.cfg.Counters)
+				i, f.Capacity(), cfg.Counters)
 		}
 		if st.Totals[i] < 0 {
 			return nil, fmt.Errorf("swhh: restore: negative frame total at slot %d", i)
@@ -66,10 +68,13 @@ func RestoreSliding(cfg Config, st SlidingState) (*Sliding, error) {
 			return nil, fmt.Errorf("swhh: restore: uninitialised frame clock with non-empty slot %d", i)
 		}
 	}
-	s.curFrame = st.CurFrame
-	copy(s.totals, st.Totals)
-	copy(s.frames, st.Frames)
-	return s, nil
+	return &Sliding{
+		cfg:      cfg,
+		frameNs:  frameNs,
+		frames:   st.Frames,
+		totals:   st.Totals,
+		curFrame: st.CurFrame,
+	}, nil
 }
 
 // Hierarchy returns the configured hierarchy.
@@ -142,21 +147,32 @@ func (m *Memento) State() MementoState {
 	}
 }
 
-// RestoreMemento rebuilds a flat Memento summary from cfg and serialized
-// state, reconstructing the key index. Entry invariants are enforced:
-// each windowed count must be positive and equal the sum of its frame
-// cells, error slop must lie in [0, count], keys must be unique, and an
-// uninitialised frame clock requires an empty table.
-func RestoreMemento(cfg Config, st MementoState) (*Memento, error) {
+// RestoreMemento rebuilds a flat Memento summary of n entries from cfg,
+// allocating its table once: fill writes the serialized state straight
+// into a MementoState whose columns view the new table's storage (n
+// keys, counts and errs, n × ring entry-major cells and the ring of
+// totals) and sets the frame clock and eviction cursor. The table is
+// then validated in place and its key index rebuilt. Entry invariants
+// are enforced: each windowed count must be positive and equal the sum
+// of its frame cells, error slop must lie in [0, count], keys must be
+// unique, and an uninitialised frame clock requires an empty table.
+func RestoreMemento(cfg Config, n int, fill func(st *MementoState)) (*Memento, error) {
 	m, err := NewMemento(cfg)
 	if err != nil {
 		return nil, err
 	}
-	n := len(st.Keys)
-	if n > len(m.keys) {
+	if n < 0 || n > len(m.keys) {
 		return nil, fmt.Errorf("swhh: restore: %d entries exceed capacity %d", n, len(m.keys))
 	}
-	if len(st.Counts) != n || len(st.Errs) != n || len(st.Cells) != int(int64(n)*m.ring) {
+	st := MementoState{
+		Keys:   m.keys[:n],
+		Counts: m.counts[:n],
+		Errs:   m.errs[:n],
+		Cells:  m.cells[:int64(n)*m.ring],
+		Totals: m.totals,
+	}
+	fill(&st)
+	if len(st.Keys) != n || len(st.Counts) != n || len(st.Errs) != n || len(st.Cells) != int(int64(n)*m.ring) {
 		return nil, fmt.Errorf("swhh: restore: entry column lengths disagree (%d keys, %d counts, %d errs, %d cells)",
 			n, len(st.Counts), len(st.Errs), len(st.Cells))
 	}
@@ -166,7 +182,7 @@ func RestoreMemento(cfg Config, st MementoState) (*Memento, error) {
 	if st.Cursor < 0 || st.Cursor > len(m.keys) {
 		return nil, fmt.Errorf("swhh: restore: cursor %d out of range", st.Cursor)
 	}
-	for i, t := range st.Totals {
+	for i, t := range m.totals {
 		if t < 0 {
 			return nil, fmt.Errorf("swhh: restore: negative frame total at slot %d", i)
 		}
@@ -179,30 +195,24 @@ func RestoreMemento(cfg Config, st MementoState) (*Memento, error) {
 	}
 	for e := 0; e < n; e++ {
 		var sum int64
-		for s := int64(0); s < m.ring; s++ {
-			c := st.Cells[int64(e)*m.ring+s]
+		for s, c := range m.cells[int64(e)*m.ring : int64(e+1)*m.ring] {
 			if c < 0 {
 				return nil, fmt.Errorf("swhh: restore: negative cell for entry %d slot %d", e, s)
 			}
 			sum += c
 		}
-		if st.Counts[e] <= 0 || st.Counts[e] != sum {
-			return nil, fmt.Errorf("swhh: restore: entry %d count %d does not match cell sum %d", e, st.Counts[e], sum)
+		if m.counts[e] <= 0 || m.counts[e] != sum {
+			return nil, fmt.Errorf("swhh: restore: entry %d count %d does not match cell sum %d", e, m.counts[e], sum)
 		}
-		if st.Errs[e] < 0 || st.Errs[e] > st.Counts[e] {
-			return nil, fmt.Errorf("swhh: restore: entry %d error slop %d out of [0, %d]", e, st.Errs[e], st.Counts[e])
+		if m.errs[e] < 0 || m.errs[e] > m.counts[e] {
+			return nil, fmt.Errorf("swhh: restore: entry %d error slop %d out of [0, %d]", e, m.errs[e], m.counts[e])
 		}
-		if m.find(st.Keys[e]) >= 0 {
-			return nil, fmt.Errorf("swhh: restore: duplicate key %#x", st.Keys[e])
+		if m.find(m.keys[e]) >= 0 {
+			return nil, fmt.Errorf("swhh: restore: duplicate key %#x", m.keys[e])
 		}
-		m.keys[e] = st.Keys[e]
-		m.counts[e] = st.Counts[e]
-		m.errs[e] = st.Errs[e]
-		m.idxInsert(st.Keys[e], e)
+		m.idxInsert(m.keys[e], e)
 		m.n = e + 1
 	}
-	copy(m.cells, st.Cells)
-	copy(m.totals, st.Totals)
 	m.cursor = st.Cursor
 	m.curFrame = st.CurFrame
 	return m, nil
@@ -231,20 +241,21 @@ func (d *MementoHHH) State() MementoHHHState {
 }
 
 // RestoreMementoHHH rebuilds a level-sampled Memento HHH detector from
-// the hierarchy, the shared Config, and serialized state. Per-level
-// tables are adopted (typically from RestoreMemento) and must share the
-// configured frame geometry.
+// the hierarchy, the shared Config, and serialized state. The per-level
+// tables (typically from RestoreMemento) and the totals ring are
+// adopted; the tables must share the configured frame geometry.
 func RestoreMementoHHH(h addr.Hierarchy, cfg Config, st MementoHHHState) (*MementoHHH, error) {
-	d, err := NewMementoHHH(h, cfg, 0)
-	if err != nil {
+	cfg.setDefaults()
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if len(st.Levels) != len(d.levels) {
+	frameNs, ring := cfg.geometry()
+	if len(st.Levels) != h.Levels() {
 		return nil, fmt.Errorf("swhh: restore: %d level tables for %d-level hierarchy %v",
-			len(st.Levels), len(d.levels), h)
+			len(st.Levels), h.Levels(), h)
 	}
-	if len(st.Totals) != len(d.totals) {
-		return nil, fmt.Errorf("swhh: restore: totals ring %d != configured ring %d", len(st.Totals), len(d.totals))
+	if int64(len(st.Totals)) != ring {
+		return nil, fmt.Errorf("swhh: restore: totals ring %d != configured ring %d", len(st.Totals), ring)
 	}
 	for i, t := range st.Totals {
 		if t < 0 {
@@ -254,18 +265,13 @@ func RestoreMementoHHH(h addr.Hierarchy, cfg Config, st MementoHHHState) (*Memen
 			return nil, fmt.Errorf("swhh: restore: uninitialised frame clock with non-empty slot %d", i)
 		}
 	}
-	capN := len(d.levels[0].keys)
 	for l, lv := range st.Levels {
 		if lv == nil {
 			return nil, fmt.Errorf("swhh: restore: nil table at level %d", l)
 		}
-		if lv.frameNs != d.frameNs || lv.ring != d.ring || len(lv.keys) != capN {
+		if lv.frameNs != frameNs || lv.ring != ring || len(lv.keys) != cfg.Counters {
 			return nil, fmt.Errorf("swhh: restore: level %d geometry differs from config", l)
 		}
-		d.levels[l] = lv
 	}
-	d.rng = st.Sampler
-	d.curFrame = st.CurFrame
-	copy(d.totals, st.Totals)
-	return d, nil
+	return newMementoHHH(h, st.Levels, st.Totals, st.Sampler, st.CurFrame), nil
 }

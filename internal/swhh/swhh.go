@@ -37,6 +37,7 @@ package swhh
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"hiddenhhh/internal/addr"
@@ -105,6 +106,19 @@ func (c *Config) validate() error {
 	return nil
 }
 
+// geometry returns the frame length and ring size (Frames full frames
+// plus the one filling) of a defaulted config. A window shorter than
+// Frames nanoseconds floors the frame length at 1 ns rather than
+// dividing by zero when advancing: every frame then covers a single
+// nanosecond, the finest granularity timestamps carry.
+func (c Config) geometry() (frameNs, ring int64) {
+	frameNs = int64(c.Window) / int64(c.Frames)
+	if frameNs < 1 {
+		frameNs = 1
+	}
+	return frameNs, int64(c.Frames) + 1
+}
+
 // CoveredSince returns the inclusive start of the span a summary built
 // from c covers at query time now: the ring holds the Frames most recent
 // full frames plus the one filling, so coverage reaches back to the start
@@ -113,10 +127,7 @@ func (c *Config) validate() error {
 // the traffic).
 func (c Config) CoveredSince(now int64) int64 {
 	c.setDefaults()
-	frameNs := int64(c.Window) / int64(c.Frames)
-	if frameNs < 1 {
-		frameNs = 1
-	}
+	frameNs, _ := c.geometry()
 	return (floorDiv(now, frameNs) - int64(c.Frames)) * frameNs
 }
 
@@ -137,18 +148,12 @@ func NewSliding(cfg Config) (*Sliding, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	frameNs := int64(cfg.Window) / int64(cfg.Frames)
-	if frameNs < 1 {
-		// Window < Frames nanoseconds: floor the frame length at 1 ns
-		// rather than dividing by zero in advance. Every frame then covers
-		// a single nanosecond, the finest granularity timestamps carry.
-		frameNs = 1
-	}
+	frameNs, ring := cfg.geometry()
 	s := &Sliding{
 		cfg:      cfg,
 		frameNs:  frameNs,
-		frames:   make([]*sketch.SpaceSaving, cfg.Frames+1),
-		totals:   make([]int64, cfg.Frames+1),
+		frames:   make([]*sketch.SpaceSaving, ring),
+		totals:   make([]int64, ring),
 		curFrame: frameUninit,
 	}
 	for i := range s.frames {
@@ -301,6 +306,28 @@ func (s *Sliding) HeavyKeys(phi float64, now int64) []sketch.KV {
 	return out
 }
 
+// copyFrom makes s an exact copy of o — every frame summary, the totals
+// and the frame clock — reusing s's storage.
+func (s *Sliding) copyFrom(o *Sliding) {
+	frames, totals, seen := s.frames, s.totals, s.seen
+	*s = *o
+	s.frames = resize(frames, len(o.frames))
+	for i, f := range o.frames {
+		if s.frames[i] == nil {
+			s.frames[i] = new(sketch.SpaceSaving)
+		}
+		s.frames[i].CopyFrom(f)
+	}
+	s.totals = append(totals[:0], o.totals...)
+	s.seen = seen // query scratch, built on first use
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. Reused elements keep their old values.
+func resize[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
+}
+
 // SizeBytes reports the summary footprint: the exact per-frame sizes.
 func (s *Sliding) SizeBytes() int {
 	n := 0
@@ -442,6 +469,28 @@ func (d *SlidingHHH) Merge(o *SlidingHHH) {
 	}
 	for l := range d.levels {
 		d.levels[l].Merge(o.levels[l])
+	}
+}
+
+// CopyFrom makes d an exact copy of o, level by level, reusing d's
+// storage. A zero SlidingHHH is a valid receiver.
+func (d *SlidingHHH) CopyFrom(o *SlidingHHH) {
+	levels, masks, seen, qs := d.levels, d.masks, d.seen, d.qs
+	*d = *o
+	d.levels = resize(levels, len(o.levels))
+	for l, lv := range o.levels {
+		if d.levels[l] == nil {
+			d.levels[l] = new(Sliding)
+		}
+		d.levels[l].copyFrom(lv)
+	}
+	d.masks = append(masks[:0], o.masks...)
+	d.seen, d.qs = seen, qs
+	if d.seen == nil {
+		d.seen = make(map[uint64]struct{}, 64)
+	}
+	if d.qs == nil {
+		d.qs = hhh.NewQueryScratch()
 	}
 }
 

@@ -151,6 +151,14 @@ func New(cfg Config) *Filter {
 	}
 }
 
+// Builds reports whether f has the shape, seed and decay law New(c)
+// would give it: the precondition for merging f with such a filter.
+func (c Config) Builds(f *Filter) bool {
+	c.setDefaults()
+	return len(f.cells) == c.Cells && f.k == c.Hashes && f.seed == c.Seed &&
+		c.Decay != nil && f.decay.String() == c.Decay.String()
+}
+
 // Decay returns the filter's decay law.
 func (f *Filter) Decay() Decay { return f.decay }
 
@@ -243,6 +251,14 @@ func (f *Filter) Merge(o *Filter) {
 	f.adds += o.adds
 }
 
+// CopyFrom makes f an exact copy of o, reusing f's cell storage. A zero
+// Filter is a valid receiver.
+func (f *Filter) CopyFrom(o *Filter) {
+	cells := f.cells
+	*f = *o
+	f.cells = append(cells[:0], o.cells...)
+}
+
 // Reset clears all cells.
 func (f *Filter) Reset() {
 	for i := range f.cells {
@@ -310,6 +326,9 @@ func (t *MassTracker) Merge(o *MassTracker) {
 	}
 	t.v, t.touch = v+ov, at
 }
+
+// CopyFrom makes t an exact copy of o.
+func (t *MassTracker) CopyFrom(o *MassTracker) { *t = *o }
 
 // Reset clears the tracker.
 func (t *MassTracker) Reset() { t.v, t.touch = 0, 0 }

@@ -350,30 +350,23 @@ func decodeMementoPayload(hdr Header, payload []byte) (*swhh.MementoHHH, error) 
 		if n > counters {
 			return nil, fmt.Errorf("%w: %d entries exceed table capacity %d", ErrCorrupt, n, counters)
 		}
-		st := swhh.MementoState{
-			CurFrame: curFrame,
-			Cursor:   cursorPos,
-			Keys:     make([]uint64, n),
-			Counts:   make([]int64, n),
-			Errs:     make([]int64, n),
-			Cells:    make([]int64, n*ring),
-			Totals:   make([]int64, ring),
-		}
-		for i := range st.Totals {
-			st.Totals[i] = c.i64()
-		}
-		for e := 0; e < n; e++ {
-			st.Keys[e] = c.u64()
-			st.Counts[e] = c.i64()
-			st.Errs[e] = c.i64()
-		}
-		for i := range st.Cells {
-			st.Cells[i] = c.i64()
-		}
+		m, err := swhh.RestoreMemento(cfg, n, func(st *swhh.MementoState) {
+			st.CurFrame, st.Cursor = curFrame, cursorPos
+			for i := range st.Totals {
+				st.Totals[i] = c.i64()
+			}
+			for e := 0; e < n; e++ {
+				st.Keys[e] = c.u64()
+				st.Counts[e] = c.i64()
+				st.Errs[e] = c.i64()
+			}
+			for i := range st.Cells {
+				st.Cells[i] = c.i64()
+			}
+		})
 		if !c.ok {
 			return nil, fmt.Errorf("%w: short memento level payload", ErrCorrupt)
 		}
-		m, err := swhh.RestoreMemento(cfg, st)
 		if err != nil {
 			return nil, corrupt(err)
 		}
