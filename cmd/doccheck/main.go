@@ -2,7 +2,12 @@
 // any package under the given roots is missing a package-level doc
 // comment or when any exported top-level declaration (type, function,
 // method, or the first name of a const/var group) has no doc comment.
-// CI runs it over the whole module so the godoc surface cannot rot.
+// It also fails when README.md, ARCHITECTURE.md,
+// .claude/skills/verify/SKILL.md or any file under examples/ of a root
+// mentions a cmd/<name> path that does not exist there, so deleted or
+// renamed commands cannot linger in the docs. CHANGES.md and ROADMAP.md
+// are history and are not checked. CI runs it over the whole module so
+// the godoc surface cannot rot.
 //
 // Usage:
 //
@@ -11,11 +16,12 @@
 // Test files, testdata and generated files are excluded. Exported
 // methods on exported types are checked; methods implementing an
 // interface still need a line (convention: "Foo implements Bar.").
-// Exit status is 1 when anything is undocumented, with one line per
-// finding.
+// Exit status is 1 when anything is undocumented or a command path is
+// stale, with one line per finding.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"go/ast"
@@ -24,6 +30,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -38,11 +45,12 @@ func main() {
 	var findings []string
 	for _, root := range roots {
 		f, err := checkTree(root)
-		if err != nil {
+		c, cerr := checkCmdPaths(root)
+		if err := errors.Join(err, cerr); err != nil {
 			fmt.Fprintln(os.Stderr, "doccheck:", err)
 			os.Exit(2)
 		}
-		findings = append(findings, f...)
+		findings = append(append(findings, f...), c...)
 	}
 	sort.Strings(findings)
 	if !*quiet {
@@ -51,7 +59,7 @@ func main() {
 		}
 	}
 	if n := len(findings); n > 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %d undocumented exported declarations\n", n)
+		fmt.Fprintf(os.Stderr, "doccheck: %d findings\n", n)
 		os.Exit(1)
 	}
 }
@@ -79,6 +87,51 @@ func checkTree(root string) ([]string, error) {
 		return nil
 	})
 	return findings, err
+}
+
+// cmdPath matches a mention of a command directory, cmd/<name> or
+// ./cmd/<name>, capturing the name.
+var cmdPath = regexp.MustCompile(`\bcmd/([A-Za-z0-9_-]+)`)
+
+// checkCmdPaths reports every cmd/<name> mention in root's README.md,
+// ARCHITECTURE.md, .claude/skills/verify/SKILL.md and examples/ whose
+// directory root/cmd/<name> does not exist. Missing documents are
+// skipped.
+func checkCmdPaths(root string) ([]string, error) {
+	docs := []string{"README.md", "ARCHITECTURE.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")}
+	for i, d := range docs {
+		docs[i] = filepath.Join(root, d)
+	}
+	err := filepath.WalkDir(filepath.Join(root, "examples"), func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			docs = append(docs, path)
+		}
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	var findings []string
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, m := range cmdPath.FindAllStringSubmatch(line, -1) {
+				if st, err := os.Stat(filepath.Join(root, "cmd", m[1])); err != nil || !st.IsDir() {
+					findings = append(findings, fmt.Sprintf("%s:%d: cmd/%s does not exist", doc, i+1, m[1]))
+				}
+			}
+		}
+	}
+	return findings, nil
 }
 
 // checkDir parses one directory's non-test Go files and reports

@@ -92,5 +92,5 @@ func main() {
 	fmt.Println("\nAll three summaries detect the same windows' heavy hitters with")
 	fmt.Println("kilobytes of state — and all three inherit the same blind spot: a")
 	fmt.Println("burst split across the reset boundary is invisible to every one of")
-	fmt.Println("them (see examples/ddosdetect and cmd/hiddenhhh).")
+	fmt.Println("them (see examples/ddosdetect and `go run ./cmd/hhheval hidden`).")
 }

@@ -138,7 +138,7 @@ func ContinuousComparison(provider Provider, cfg ComparisonConfig) (*ComparisonO
 	peakLeaves := 0
 	start := time.Now()
 	err = window.Slide(src, window.Config{
-		Width: cfg.Window, Step: cfg.Step, End: cfg.Span,
+		Width: cfg.Window, Step: cfg.Step, End: cfg.Span, Hierarchy: cfg.Hierarchy,
 	}, func(r *window.Result) error {
 		set := hhh.Exact(r.Leaves, cfg.Hierarchy, hhh.Threshold(r.Bytes, cfg.Phi))
 		sliding.UnionInPlace(set)

@@ -315,3 +315,31 @@ func TestProviders(t *testing.T) {
 		t.Fatalf("file provider: %v, %d packets", err, len(got2))
 	}
 }
+
+func TestContinuousComparisonIPv6Hierarchy(t *testing.T) {
+	// The exact ground-truth pass keys by the configured hierarchy: on an
+	// IPv6-only trace it must find the HHHs the disjoint exact detector
+	// reports, not skip every packet as the wrong family.
+	pkts, err := gen.Packets(gen.IPv6HitAndRunScenario(20*time.Second, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcome, err := ContinuousComparison(SliceProvider(pkts), ComparisonConfig{
+		Window:    5 * time.Second,
+		Phi:       0.05,
+		Span:      int64(20 * time.Second),
+		Hierarchy: addr.NewIPv6Hierarchy(addr.Hextet),
+		Seed:      1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outcome.GroundTruth.Len() == 0 {
+		t.Fatal("empty ground truth on an IPv6 trace")
+	}
+	for _, r := range outcome.Reports {
+		if r.Name == "disjoint-exact" && (r.Reported == 0 || r.Precision != 1) {
+			t.Errorf("disjoint-exact against the sliding truth: %+v", r)
+		}
+	}
+}

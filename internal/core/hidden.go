@@ -25,12 +25,10 @@ type HiddenHHHConfig struct {
 	Phis []float64
 	// Span is the analysed trace duration (ns since epoch 0).
 	Span int64
-	// Hierarchy is the prefix lattice the analysis runs over. Defaults
-	// to the IPv4 byte ladder.
+	// Hierarchy is the prefix lattice the analysis runs over, keyed by
+	// source address and weighted by bytes. Defaults to the IPv4 byte
+	// ladder.
 	Hierarchy addr.Hierarchy
-	// Key and Weight default to source address and bytes.
-	Key    window.KeyFunc
-	Weight window.WeightFunc
 }
 
 func (c *HiddenHHHConfig) setDefaults() {
@@ -45,9 +43,6 @@ func (c *HiddenHHHConfig) setDefaults() {
 	}
 	if len(c.Phis) == 0 {
 		c.Phis = []float64{0.01, 0.05, 0.10}
-	}
-	if c.Key == nil {
-		c.Key = window.BySource(c.Hierarchy)
 	}
 }
 
@@ -100,11 +95,10 @@ func HiddenHHH(provider Provider, cfg HiddenHHHConfig) ([]HiddenHHHResult, error
 			accs[i].disjoint = hhh.NewSet()
 		}
 		wcfg := window.Config{
-			Width:  w,
-			Step:   cfg.Step,
-			End:    cfg.Span,
-			Key:    cfg.Key,
-			Weight: cfg.Weight,
+			Width:     w,
+			Step:      cfg.Step,
+			End:       cfg.Span,
+			Hierarchy: cfg.Hierarchy,
 		}
 		err = window.Slide(src, wcfg, func(r *window.Result) error {
 			isDisjoint := r.Start%int64(w) == 0

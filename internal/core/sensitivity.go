@@ -32,11 +32,10 @@ type SensitivityConfig struct {
 	Phi float64
 	// Span is the analysed trace duration (the paper uses 20 minutes).
 	Span int64
-	// Hierarchy is the prefix lattice the analysis runs over. Defaults
-	// to the IPv4 byte ladder.
+	// Hierarchy is the prefix lattice the analysis runs over, keyed by
+	// source address and weighted by bytes. Defaults to the IPv4 byte
+	// ladder.
 	Hierarchy addr.Hierarchy
-	Key       window.KeyFunc
-	Weight    window.WeightFunc
 }
 
 func (c *SensitivityConfig) setDefaults() {
@@ -53,12 +52,6 @@ func (c *SensitivityConfig) setDefaults() {
 	}
 	if c.Hierarchy == (addr.Hierarchy{}) {
 		c.Hierarchy = addr.NewIPv4Hierarchy(addr.Byte)
-	}
-	if c.Key == nil {
-		c.Key = window.BySource(c.Hierarchy)
-	}
-	if c.Weight == nil {
-		c.Weight = window.ByBytes
 	}
 }
 
@@ -134,6 +127,7 @@ func WindowSensitivity(provider Provider, cfg SensitivityConfig) ([]SensitivityR
 		}
 	}
 
+	pack := trace.NewPacker(cfg.Hierarchy)
 	var p trace.Packet
 	for {
 		err := src.Next(&p)
@@ -146,11 +140,11 @@ func WindowSensitivity(provider Provider, cfg SensitivityConfig) ([]SensitivityR
 		if p.Ts < 0 || p.Ts >= cfg.Span {
 			continue
 		}
-		key, ok := cfg.Key(&p)
+		key, ok := pack.Key(p.Src)
 		if !ok {
 			continue
 		}
-		w := cfg.Weight(&p)
+		w := int64(p.Size)
 		for _, t := range tilings {
 			idx := int(p.Ts / t.width)
 			if idx > t.idx {
@@ -218,11 +212,10 @@ func TailTrimSensitivity(provider Provider, cfg SensitivityConfig) ([]Sensitivit
 	}
 	results := make([]SensitivityResult, len(cfg.Trims))
 	tcfg := window.TrimConfig{
-		Width:  cfg.Baseline,
-		End:    cfg.Span,
-		Trims:  cfg.Trims,
-		Key:    cfg.Key,
-		Weight: cfg.Weight,
+		Width:     cfg.Baseline,
+		End:       cfg.Span,
+		Trims:     cfg.Trims,
+		Hierarchy: cfg.Hierarchy,
 	}
 	err = window.TrimmedTumble(src, tcfg, func(r *window.TrimResult) error {
 		if results[0].Jaccard == nil {

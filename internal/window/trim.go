@@ -28,7 +28,7 @@ type TrimResult struct {
 	// TailLeaves[j] aggregates packets in [End-Trims[j], End): exactly the
 	// traffic a Trims[j]-shorter window loses.
 	TailLeaves []*sketch.Exact
-	// TailBytes[j] is the total weight of TailLeaves[j].
+	// TailBytes[j] is the total bytes of TailLeaves[j].
 	TailBytes []int64
 	// TailPackets[j] is the packet count of TailLeaves[j].
 	TailPackets []int
@@ -43,18 +43,17 @@ func (r *TrimResult) VariantLeaves(j int) *sketch.Exact {
 	return v
 }
 
-// VariantBytes returns the total weight of variant j.
+// VariantBytes returns the total bytes of variant j.
 func (r *TrimResult) VariantBytes(j int) int64 { return r.Bytes - r.TailBytes[j] }
 
 // TrimConfig configures TrimmedTumble.
 type TrimConfig struct {
-	// Width, Origin, End, Key, Weight as in Config; windows are disjoint
+	// Width, Origin, End and Hierarchy as in Config; windows are disjoint
 	// (tumbling), matching the paper's baseline of fixed 10 s windows.
-	Width  time.Duration
-	Origin int64
-	End    int64
-	Key    KeyFunc
-	Weight WeightFunc
+	Width     time.Duration
+	Origin    int64
+	End       int64
+	Hierarchy addr.Hierarchy
 	// Trims are the amounts by which variant windows are shorter than the
 	// baseline (the paper uses 10..100 ms). Each must be positive and
 	// smaller than Width. Duplicates are rejected.
@@ -68,12 +67,6 @@ type TrimConfig struct {
 // analysis once per window length, each variant is derived from the
 // baseline by subtracting its tail band.
 func TrimmedTumble(src trace.Source, cfg TrimConfig, fn func(*TrimResult) error) error {
-	if cfg.Key == nil {
-		cfg.Key = BySource(addr.NewIPv4Hierarchy(addr.Byte))
-	}
-	if cfg.Weight == nil {
-		cfg.Weight = ByBytes
-	}
 	if cfg.Width <= 0 {
 		return fmt.Errorf("%w: width %v must be positive", ErrConfig, cfg.Width)
 	}
@@ -94,6 +87,7 @@ func TrimmedTumble(src trace.Source, cfg TrimConfig, fn func(*TrimResult) error)
 		}
 	}
 
+	pack := trace.NewPacker(orDefault(cfg.Hierarchy))
 	width := int64(cfg.Width)
 	positions := int((cfg.End - cfg.Origin) / width)
 	res := TrimResult{
@@ -152,11 +146,11 @@ func TrimmedTumble(src trace.Source, cfg TrimConfig, fn func(*TrimResult) error)
 				return err
 			}
 		}
-		key, ok := cfg.Key(&p)
+		key, ok := pack.Key(p.Src)
 		if !ok {
 			continue
 		}
-		w := cfg.Weight(&p)
+		w := int64(p.Size)
 		res.Leaves.Update(key, w)
 		res.Packets++
 		res.Bytes += w

@@ -1,7 +1,7 @@
 // Package window implements the window models the paper compares:
-// fixed-time disjoint (tumbling) windows, sliding windows with a step, and
-// the trimmed-tail multi-length evaluation behind the micro-variation
-// experiment.
+// fixed-time disjoint (tumbling) windows and sliding windows with a step,
+// both evaluated by Slide, and the trimmed-tail multi-length evaluation
+// behind the micro-variation experiment.
 //
 // All engines make a single pass over a time-sorted packet source and
 // deliver, per window, an exact per-source byte aggregate from which the
@@ -26,44 +26,16 @@ import (
 // ErrConfig reports an invalid window configuration.
 var ErrConfig = errors.New("window: invalid configuration")
 
-// KeyFunc extracts a packet's aggregation key — a hierarchy leaf key
-// (see addr.Hierarchy.Key at level 0) — and reports ok=false for packets
-// the analysis should skip entirely, e.g. the other address family of a
-// dual-stack trace. The paper's experiments aggregate by source address.
-type KeyFunc func(*trace.Packet) (key uint64, ok bool)
-
-// WeightFunc extracts the weight of a packet. The paper's thresholds are
-// byte volumes.
-type WeightFunc func(*trace.Packet) int64
-
-// BySource keys by the source address generalised to h's leaf level,
-// skipping packets outside h's address family. It is the default KeyFunc
-// (at the IPv4 byte ladder).
-func BySource(h addr.Hierarchy) KeyFunc {
-	return func(p *trace.Packet) (uint64, bool) { return h.Key(p.Src, 0), h.Match(p.Src) }
-}
-
-// ByDest keys by destination address (the natural key for DDoS-victim
-// detection), with the same family filter as BySource.
-func ByDest(h addr.Hierarchy) KeyFunc {
-	return func(p *trace.Packet) (uint64, bool) { return h.Key(p.Dst, 0), h.Match(p.Dst) }
-}
-
-// ByBytes is the default WeightFunc: the packet's wire length.
-func ByBytes(p *trace.Packet) int64 { return int64(p.Size) }
-
-// ByPackets weights every packet equally, for packet-count thresholds.
-func ByPackets(*trace.Packet) int64 { return 1 }
-
-// Result is one evaluated window. Leaves maps the KeyFunc's leaf keys to
-// accumulated weight. The Result (including Leaves) is only valid during
-// the callback that delivers it; callers must not retain it.
+// Result is one evaluated window. Leaves maps the source addresses' leaf
+// keys (addr.Hierarchy.Key at level 0) to accumulated bytes. The Result
+// (including Leaves) is only valid during the callback that delivers it;
+// callers must not retain it.
 type Result struct {
 	Index   int   // window ordinal within the span
 	Start   int64 // inclusive, ns
 	End     int64 // exclusive, ns
 	Packets int
-	Bytes   int64 // total weight in the window
+	Bytes   int64 // total bytes in the window
 	Leaves  *sketch.Exact
 }
 
@@ -86,18 +58,14 @@ type Config struct {
 	// are ignored. Must satisfy End >= Origin + Width for at least one
 	// window.
 	End int64
-	// Key and Weight default to BySource and ByBytes.
-	Key    KeyFunc
-	Weight WeightFunc
+	// Hierarchy keys each packet by its source address at the leaf level
+	// and weighs it by its wire length; packets outside its address
+	// family are skipped. Defaults to the IPv4 byte ladder.
+	Hierarchy addr.Hierarchy
 }
 
 func (c *Config) setDefaults() {
-	if c.Key == nil {
-		c.Key = BySource(addr.NewIPv4Hierarchy(addr.Byte))
-	}
-	if c.Weight == nil {
-		c.Weight = ByBytes
-	}
+	c.Hierarchy = orDefault(c.Hierarchy)
 	if c.Step == 0 {
 		c.Step = c.Width
 	}
@@ -142,17 +110,19 @@ func (c Config) SpanFor(i int) (start, end int64) {
 	return start, start + int64(c.Width)
 }
 
-// Tumble evaluates disjoint fixed-time windows (Step forced to Width) and
-// calls fn for each in order. Empty windows are delivered too: a window
-// with no packets is still a window whose HHH set is empty, and the
-// experiments count positions, not traffic.
-func Tumble(src trace.Source, cfg Config, fn func(*Result) error) error {
-	cfg.Step = cfg.Width
-	return Slide(src, cfg, fn)
+// orDefault returns h, or the IPv4 byte ladder when h is the zero value.
+func orDefault(h addr.Hierarchy) addr.Hierarchy {
+	if h == (addr.Hierarchy{}) {
+		return addr.NewIPv4Hierarchy(addr.Byte)
+	}
+	return h
 }
 
 // Slide evaluates sliding windows of cfg.Width every cfg.Step and calls fn
-// for each position in order. It maintains one aggregate bucket per step
+// for each position in order; with Step left zero the windows are
+// disjoint (tumbling). Empty windows are delivered too: a window with no
+// packets is still a window whose HHH set is empty, and the experiments
+// count positions, not traffic. It maintains one aggregate bucket per step
 // and a running window counter, so a full pass costs O(packets + windows ×
 // buckets) regardless of how much windows overlap.
 func Slide(src trace.Source, cfg Config, fn func(*Result) error) error {
@@ -165,6 +135,7 @@ func Slide(src trace.Source, cfg Config, fn func(*Result) error) error {
 		width     = int64(cfg.Width)
 		nbuckets  = int(width / step)
 		positions = cfg.Count()
+		pack      = trace.NewPacker(cfg.Hierarchy)
 		// ring of per-step buckets; bucket b covers
 		// [Origin + b*step, Origin + (b+1)*step)
 		ring    = make([]*sketch.Exact, nbuckets)
@@ -248,11 +219,11 @@ func Slide(src trace.Source, cfg Config, fn func(*Result) error) error {
 			}
 		}
 		// Packets are time-sorted, so b == cur here.
-		k, ok := cfg.Key(&p)
+		k, ok := pack.Key(p.Src)
 		if !ok {
 			continue
 		}
-		ring[b%nbuckets].Update(k, cfg.Weight(&p))
+		ring[b%nbuckets].Update(k, int64(p.Size))
 		ringPk[b%nbuckets]++
 	}
 	// Flush: finish every bucket in the span and emit remaining positions.

@@ -12,7 +12,7 @@ import (
 )
 
 // testHierarchy is the leaf-key hierarchy the recount helpers use: the
-// IPv4 byte ladder, matching the window engines' default KeyFunc.
+// IPv4 byte ladder, the window engines' default Hierarchy.
 func testHierarchy() addr.Hierarchy { return addr.NewIPv4Hierarchy(addr.Byte) }
 
 // mkTrace builds a random time-sorted trace of n packets across dur.
@@ -99,7 +99,7 @@ func TestTumbleMatchesBruteForce(t *testing.T) {
 	pkts := mkTrace(5000, 10*time.Second, 1)
 	cfg := Config{Width: time.Second, End: int64(10 * time.Second)}
 	n := 0
-	err := Tumble(trace.NewSliceSource(pkts), cfg, func(r *Result) error {
+	err := Slide(trace.NewSliceSource(pkts), cfg, func(r *Result) error {
 		wantLeaves, wantPk, wantBytes := recount(pkts, r.Start, r.End)
 		if r.Packets != wantPk || r.Bytes != wantBytes {
 			t.Fatalf("window %d: packets=%d/%d bytes=%d/%d",
@@ -155,7 +155,7 @@ func TestSlideEmitsEmptyWindows(t *testing.T) {
 	pkts := []trace.Packet{{Ts: 0, Src: addr.From4Uint32(1), Size: 100}}
 	cfg := Config{Width: time.Second, Step: time.Second, End: int64(5 * time.Second)}
 	var got []int
-	err := Tumble(trace.NewSliceSource(pkts), cfg, func(r *Result) error {
+	err := Slide(trace.NewSliceSource(pkts), cfg, func(r *Result) error {
 		got = append(got, r.Packets)
 		return nil
 	})
@@ -188,7 +188,7 @@ func TestSlideSupersetOfTumble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = Tumble(trace.NewSliceSource(pkts),
+	err = Slide(trace.NewSliceSource(pkts),
 		Config{Width: w, End: end},
 		func(r *Result) error {
 			s, ok := sliding[r.Start]
@@ -231,7 +231,7 @@ func TestSlideIgnoresOutOfSpanPackets(t *testing.T) {
 		{Ts: int64(time.Second) + 1, Src: addr.From4Uint32(3), Size: 7} /* past end */}
 	cfg := Config{Width: time.Second, Step: time.Second, End: int64(time.Second)}
 	var total int64
-	err := Tumble(trace.NewSliceSource(pkts), cfg, func(r *Result) error {
+	err := Slide(trace.NewSliceSource(pkts), cfg, func(r *Result) error {
 		total += r.Bytes
 		return nil
 	})
@@ -243,32 +243,23 @@ func TestSlideIgnoresOutOfSpanPackets(t *testing.T) {
 	}
 }
 
-func TestKeyAndWeightFuncs(t *testing.T) {
-	h := testHierarchy()
-	p := trace.Packet{Src: addr.From4Uint32(1), Dst: addr.From4Uint32(2), Size: 99}
-	if k, ok := BySource(h)(&p); !ok || k != h.Key(p.Src, 0) {
-		t.Error("BySource key")
+func TestHierarchyKeysBySourceAndBytes(t *testing.T) {
+	// On an IPv6 lattice a v6 packet is keyed by its source at the leaf
+	// level and weighs its wire length; the v4 packet is skipped, not
+	// keyed.
+	h := addr.NewIPv6Hierarchy(addr.Hextet)
+	pkts := []trace.Packet{
+		{Ts: 0, Src: addr.MustParseAddr("10.1.2.3"), Dst: addr.MustParseAddr("10.9.9.9"), Size: 99},
+		{Ts: 1, Src: addr.MustParseAddr("2001:db8::1"), Dst: addr.MustParseAddr("2001:db8::2"), Size: 500},
 	}
-	if k, ok := ByDest(h)(&p); !ok || k != h.Key(p.Dst, 0) {
-		t.Error("ByDest key")
-	}
-	// The other family is filtered, not keyed.
-	v6 := trace.Packet{Src: addr.MustParseAddr("2001:db8::1"), Dst: addr.MustParseAddr("2001:db8::2")}
-	if _, ok := BySource(h)(&v6); ok {
-		t.Error("BySource must skip the other family")
-	}
-	if _, ok := ByDest(h)(&v6); ok {
-		t.Error("ByDest must skip the other family")
-	}
-	if ByBytes(&p) != 99 || ByPackets(&p) != 1 {
-		t.Error("weight funcs")
-	}
-	// ByPackets makes Bytes count packets.
-	pkts := mkTrace(100, time.Second, 5)
-	cfg := Config{Width: time.Second, End: int64(time.Second), Weight: ByPackets}
-	err := Tumble(trace.NewSliceSource(pkts), cfg, func(r *Result) error {
-		if r.Bytes != int64(r.Packets) {
-			t.Fatalf("packet weighting: bytes=%d packets=%d", r.Bytes, r.Packets)
+	cfg := Config{Width: time.Second, End: int64(time.Second), Hierarchy: h}
+	err := Slide(trace.NewSliceSource(pkts), cfg, func(r *Result) error {
+		if r.Packets != 1 || r.Bytes != 500 || r.Leaves.Len() != 1 {
+			t.Fatalf("packets=%d bytes=%d leaves=%d, want the v6 packet only",
+				r.Packets, r.Bytes, r.Leaves.Len())
+		}
+		if got := r.Leaves.Estimate(h.Key(pkts[1].Src, 0)); got != 500 {
+			t.Fatalf("source leaf = %d, want 500", got)
 		}
 		return nil
 	})
